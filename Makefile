@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-json bench-all chaos wire coord coord-drain replay record-corpus verify
+.PHONY: build test vet race loc bench bench-json bench-all chaos wire coord coord-drain replay record-corpus verify
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,12 @@ vet:
 # depend on package-level ordering.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# loc prints the tracked Go line counts — production and test — outside the
+# separate perfbench module. Production LOC is a number the roadmap tracks.
+loc:
+	@printf 'production %s\n' "$$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l)"
+	@printf 'test       %s\n' "$$(git ls-files '*_test.go' | grep -v '^perfbench/' | xargs cat | wc -l)"
 
 # bench runs the headline benchmarks (engine, QoE node with and without
 # observability, Fig 9-11 sweeps) and writes them machine-readably so perf
@@ -53,13 +59,14 @@ chaos:
 
 # wire is the zero-copy wire-path smoke: the live and proto suites under
 # the race detector, a saturation run that fails unless the coalescing
-# counters prove frames were actually batched, and a UDP-transport live run
-# whose detector ledgers must reconcile.
+# counters prove frames were actually batched, and a UDP-transport chaos
+# demo that fails unless every player completes, the session ledger
+# reconciles and every scheduled kill was applied.
 wire:
 	$(GO) test -race -count=1 ./internal/live/ ./internal/proto/
 	$(GO) run ./cmd/cloudfog-bench -wire-smoke
-	$(GO) run ./cmd/cloudfog-live -players 4 -supernodes 3 -duration 5s \
-		-transport udp -detector phi -heartbeat 200ms -chaos default
+	$(GO) run ./cmd/cloudfog-live demo -workers 3 -players 4 -duration 5s \
+		-chaos default -transport udp
 
 # replay is the flight-recorder regression gate: the committed corpus
 # recordings must replay bit-identically (figure bytes, observability
@@ -97,7 +104,7 @@ record-corpus:
 # every stranded session re-places and the session ledger reconciles.
 coord:
 	$(GO) test -race -count=1 ./internal/coord/
-	$(GO) run ./cmd/cloudfog-coordinator -demo -workers 3 -players 6 \
+	$(GO) run ./cmd/cloudfog-live demo -workers 3 -players 6 \
 		-duration 4s -report coord_report.json
 
 # coord-drain is the graceful-distress smoke: the same deployment with
@@ -108,7 +115,7 @@ coord:
 # placements = active + departed + expired, tickets = placements +
 # replacements + renewals — reconciles.
 coord-drain:
-	$(GO) run ./cmd/cloudfog-coordinator -demo -drain -lease 1s \
+	$(GO) run ./cmd/cloudfog-live demo -drain -lease 1s \
 		-workers 3 -players 6 -duration 4s -report coord_drain_report.json
 
 # verify is the CI gate: static checks, the race-enabled suite, the chaos

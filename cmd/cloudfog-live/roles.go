@@ -13,7 +13,6 @@ import (
 
 	"cloudfog/internal/coord"
 	"cloudfog/internal/live"
-	"cloudfog/internal/obs"
 )
 
 // roleUsage is the per-subcommand usage text, keyed by role.
@@ -21,19 +20,28 @@ var roleUsage = map[live.RoleKind]string{
 	live.RoleCloud: `cloudfog-live cloud -config <json>
 
 Runs the cloud server: the authoritative world, the supernode update
-stream, heartbeat failure detection, and the direct-stream fallback.
-Config fields: addr (listen), tick, direct_fps, world, detector.
+stream, and the direct-stream fallback.
+Config fields: addr (listen), tick, direct_fps, world.
 Runs until SIGINT/SIGTERM.`,
+	live.RoleCoordinator: `cloudfog-live coordinator -config <json> [-report ledger.json]
+
+Runs the placement control plane: workers register and stream occupancy
+reports, players ask for placement and get an HMAC-signed ticket naming
+the serving worker and its backup ring. Worker deaths are detected by the
+detector over report gaps and stranded sessions are re-placed. On
+SIGINT/SIGTERM it writes the session-ledger reconciliation to -report.
+Config fields: addr, cloud_addr (cloud-direct fallback tickets),
+ticket_key, detector, lease_ttl, shortlist_k, backups, overload, transport.`,
 	live.RoleSupernode: `cloudfog-live supernode -config <json>
 
 Runs a fog supernode: subscribes to the cloud's update stream and serves
 rendered segments to players on addr over tcp or udp. With coord_addr set
 it runs as a coordinator-registered worker instead: it announces itself
 (position x/y, capacity) and streams occupancy reports every report_every.
-Config fields: id, addr, cloud_addr, fps, transport, heartbeat_every
-[, coord_addr, x, y, capacity, report_every, drain_timeout,
-skew_tolerance]. Runs until SIGINT (abrupt) or SIGTERM (worker mode drains
-every session onto other workers before exiting).`,
+Config fields: id, addr, cloud_addr, fps, transport [, coord_addr, x, y,
+capacity, report_every, drain_timeout, skew_tolerance, ticket_key,
+detector]. Runs until SIGINT (abrupt) or SIGTERM (worker mode drains every
+session onto other workers before exiting).`,
 	live.RolePlayer: `cloudfog-live player -config <json> [-duration 4s]
 
 Runs one player session: actions to the cloud, a rendered stream from a
@@ -50,13 +58,11 @@ ticket_key].`,
 // serializable live.Config, and run the role until it finishes or a signal
 // arrives.
 func runRole(role live.RoleKind, args []string) error {
-	if role == live.RoleCoordinator {
-		return fmt.Errorf("the coordinator runs as its own binary: cloudfog-coordinator")
-	}
 	fs := flag.NewFlagSet("cloudfog-live "+string(role), flag.ExitOnError)
 	configPath := fs.String("config", "", "role config JSON path (\"-\" reads stdin)")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus text metrics on this address")
 	duration := fs.Duration("duration", 4*time.Second, "player session length (player role only)")
+	report := fs.String("report", "", "write the ledger reconciliation JSON here on exit, \"-\" = stdout (coordinator role only)")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, roleUsage[role])
 		fmt.Fprintln(os.Stderr, "\nFlags:")
@@ -69,15 +75,9 @@ func runRole(role live.RoleKind, args []string) error {
 	if err != nil {
 		return err
 	}
-	var opts []live.Option
-	if *metricsAddr != "" {
-		reg := obs.NewRegistry()
-		addr, err := startMetrics(*metricsAddr, reg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("metrics on http://%s/metrics\n", addr)
-		opts = append(opts, live.WithObs(reg))
+	_, opts, err := metricsOptions(*metricsAddr)
+	if err != nil {
+		return err
 	}
 	switch role {
 	case live.RoleCloud:
@@ -89,6 +89,15 @@ func runRole(role live.RoleKind, args []string) error {
 		fmt.Printf("cloud on %s\n", cloud.Addr())
 		waitSignal()
 		return nil
+	case live.RoleCoordinator:
+		c, err := coord.StartCoordinator(cfg, opts...)
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		fmt.Printf("coordinator on %s (detector bound %v)\n", c.Addr(), c.Bound())
+		waitSignal()
+		return writeReport(c, *report)
 	case live.RoleSupernode:
 		if cfg.CoordAddr != "" {
 			w, err := coord.StartWorker(cfg, opts...)
@@ -127,6 +136,26 @@ func runRole(role live.RoleKind, args []string) error {
 	return fmt.Errorf("unhandled role %q", role)
 }
 
+// writeReport writes the coordinator's ledger reconciliation JSON to path
+// ("-" = stdout; empty writes nothing).
+func writeReport(c *coord.Coordinator, path string) error {
+	switch path {
+	case "":
+		return nil
+	case "-":
+		return c.WriteReport(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := c.WriteReport(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 func runPlayerRole(cfg live.Config, duration time.Duration, opts []live.Option) error {
 	var (
 		rep live.PlayerReport
@@ -135,10 +164,6 @@ func runPlayerRole(cfg live.Config, duration time.Duration, opts []live.Option) 
 	if cfg.CoordAddr != "" {
 		rep, _, err = coord.RunSession(signalContext(), cfg, duration, opts...)
 	} else {
-		cfg, err = live.DefaultedPlayer(cfg)
-		if err != nil {
-			return err
-		}
 		var p *live.Player
 		if p, err = live.NewPlayer(cfg, opts...); err == nil {
 			rep, err = p.Run(duration)

@@ -137,6 +137,46 @@ func TestPlacerPlacement(t *testing.T) {
 	}
 }
 
+// TestPlacerSkipsDrainingWorkers: a worker that has announced a full drain
+// is neither chosen to serve nor listed as a backup while admitting peers
+// exist, wherever it sits in the player's shortlist.
+func TestPlacerSkipsDrainingWorkers(t *testing.T) {
+	cases := []struct {
+		name     string
+		draining int64
+	}{
+		{"nearest worker draining", 1},
+		{"first backup draining", 2},
+		{"second backup draining", 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := testPlacer(t, "")
+			p.Register(0, reg(1, 1000, 1000, 8))
+			p.Register(0, reg(2, 3000, 1000, 8))
+			p.Register(0, reg(3, 5000, 1000, 8))
+			p.Register(0, reg(4, 9000, 9000, 8))
+			p.Report(0, proto.Report{Worker: tc.draining, Seq: 1, Capacity: 8, Draining: 1})
+
+			tk, ok := p.Place(0, proto.Place{Player: 100, X: 1100, Y: 900})
+			if !ok {
+				t.Fatal("placement rejected while admitting workers exist")
+			}
+			if tk.Worker == tc.draining {
+				t.Fatalf("session placed on draining worker %d", tc.draining)
+			}
+			for _, b := range tk.Backups {
+				if b == addrOf(tc.draining) {
+					t.Fatalf("backup ring %v names draining worker %d", tk.Backups, tc.draining)
+				}
+			}
+			if len(tk.Backups) != 2 {
+				t.Fatalf("ring %v, want 2 admitting backups", tk.Backups)
+			}
+		})
+	}
+}
+
 func TestPlacerRejectionAndCloudFallback(t *testing.T) {
 	// No workers, no cloud: reject.
 	p := testPlacer(t, "")

@@ -44,13 +44,11 @@ func StartCoordinator(cfg live.Config, opts ...live.Option) (*Coordinator, error
 	if cfg.Role != live.RoleCoordinator {
 		return nil, fmt.Errorf("coord: StartCoordinator on Config.Role %q", cfg.Role)
 	}
-	o := live.BuildOptions(opts...)
-	cfg = cfg.Applied(o)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	stats := obs.NewCoordStats()
-	if o.Obs != nil {
+	if o := live.BuildOptions(opts...); o.Obs != nil {
 		stats = obs.CoordStatsIn(o.Obs)
 	}
 	bounds := cfg.WorldConfig().Bounds
@@ -364,7 +362,7 @@ func (c *Coordinator) WorkersAlive() int {
 	return c.placer.WorkersAlive()
 }
 
-// Report is the JSON document `cloudfog-coordinator -report` emits: the
+// Report is the JSON document `cloudfog-live coordinator -report` emits: the
 // ledger plus its reconciliation verdict.
 type Report struct {
 	Ledger   Ledger `json:"ledger"`

@@ -390,13 +390,14 @@ func (p *Placer) Renew(now time.Duration, player int64) (proto.Ticket, bool) {
 	return p.issue(now, player, s), true
 }
 
-// choose runs the placement policy at (x, y): the nearest alive worker the
-// ladder admits, or the cloud fallback (wid 0) when nothing admits.
+// choose runs the placement policy at (x, y): the nearest alive,
+// non-draining worker the ladder admits, or the cloud fallback (wid 0) when
+// nothing admits.
 func (p *Placer) choose(x, y float64) (wid int64, ok bool) {
 	p.scratch = p.grid.NearestInto(p.scratch, x, y, p.cfg.ShortlistK,
 		func(id int64) bool {
 			w := p.workers[id]
-			return w != nil && w.alive
+			return w != nil && w.alive && !w.draining
 		})
 	for _, nb := range p.scratch {
 		if p.ladder.Admit(nb.ID) {
@@ -459,12 +460,12 @@ func (p *Placer) issue(now time.Duration, player int64, s *sessionState) proto.T
 }
 
 // ring computes the backup ring around a session's position: the nearest
-// backup-eligible alive workers, excluding its serving worker.
+// backup-eligible alive, non-draining workers, excluding its serving worker.
 func (p *Placer) ring(s *sessionState) []string {
 	p.scratch = p.grid.NearestInto(p.scratch, s.place.X, s.place.Y, p.cfg.ShortlistK,
 		func(id int64) bool {
 			w := p.workers[id]
-			return w != nil && w.alive && id != s.worker
+			return w != nil && w.alive && !w.draining && id != s.worker
 		})
 	var backups []string
 	for _, nb := range p.scratch {

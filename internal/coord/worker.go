@@ -54,8 +54,6 @@ func StartWorker(cfg live.Config, opts ...live.Option) (*Worker, error) {
 		return nil, fmt.Errorf("coord: StartWorker needs Role %q with CoordAddr set, got %q/%q",
 			live.RoleSupernode, cfg.Role, cfg.CoordAddr)
 	}
-	o := live.BuildOptions(opts...)
-	cfg = cfg.Applied(o)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -66,7 +64,7 @@ func StartWorker(cfg live.Config, opts ...live.Option) (*Worker, error) {
 	w := &Worker{
 		cfg:      cfg,
 		opts:     opts,
-		occ:      o.Occupancy,
+		occ:      live.BuildOptions(opts...).Occupancy,
 		start:    time.Now(),
 		ladder:   ladder,
 		coordDet: health.NewDetector(cfg.Detector),

@@ -31,17 +31,6 @@ const (
 	OpCloudScale
 	// OpJoin injects one flash-crowd player join.
 	OpJoin
-	// OpCoordDown / OpCoordUp bracket a coordinator partition: the control
-	// plane goes silent while the data plane keeps serving. Live runs stop
-	// (SIGSTOP) and resume (SIGCONT) the coordinator process; the sim
-	// injector has no coordinator and skips both.
-	OpCoordDown
-	OpCoordUp
-	// OpDistressOn / OpDistressOff bracket a worker-distress window: the
-	// targeted worker reports itself at Shedding (or requests a drain),
-	// exercising the proactive-migration path without killing anything.
-	OpDistressOn
-	OpDistressOff
 )
 
 // String names the op for logs.
@@ -65,14 +54,6 @@ func (o Op) String() string {
 		return "cloud_scale"
 	case OpJoin:
 		return "join"
-	case OpCoordDown:
-		return "coord_down"
-	case OpCoordUp:
-		return "coord_up"
-	case OpDistressOn:
-		return "distress_on"
-	case OpDistressOff:
-		return "distress_off"
 	default:
 		return "unknown"
 	}
@@ -182,16 +163,6 @@ func Compile(p *Profile, t Targets) (*Schedule, error) {
 			s.Events = append(s.Events,
 				Event{At: start, Op: OpCloudScale, F: spec.Factor},
 				Event{At: end, Op: OpCloudScale, F: 1})
-		case KindCoordPartition:
-			s.Events = append(s.Events,
-				Event{At: start, Op: OpCoordDown},
-				Event{At: end, Op: OpCoordUp})
-		case KindDistress:
-			for _, n := range pickTargets(t.Supernodes, spec.TargetFrac, rng) {
-				s.Events = append(s.Events,
-					Event{At: start, Op: OpDistressOn, Node: n.ID},
-					Event{At: end, Op: OpDistressOff, Node: n.ID})
-			}
 		}
 	}
 	// Stable sort: ties keep spec order, so the schedule is deterministic.

@@ -87,15 +87,6 @@ const (
 	// KindCloud scales every datacenter's egress by Factor over
 	// [Start, End) — cloud-side degradation.
 	KindCloud Kind = "cloud"
-	// KindCoordPartition makes the coordinator unreachable over [Start,
-	// End): workers must enter safe mode on control-plane silence and the
-	// coordinator must reconcile — not mass-bury — on recovery. Live runs
-	// SIGSTOP/SIGCONT the coordinator process; the sim injector skips it.
-	KindCoordPartition Kind = "coord_partition"
-	// KindDistress puts targeted workers into self-reported overload
-	// distress over [Start, End), driving the coordinator's proactive
-	// drain without killing anything.
-	KindDistress Kind = "distress"
 )
 
 // Rect is an axis-aligned region in world kilometers, for partitions.
@@ -222,9 +213,6 @@ func (s *Spec) validate(horizon time.Duration) error {
 		if s.Rate <= 0 {
 			return fmt.Errorf("storm needs a positive rate")
 		}
-	case KindCoordPartition, KindDistress:
-		// Window-only kinds: Start/End (already range-checked above) are the
-		// whole spec.
 	default:
 		return fmt.Errorf("unknown kind %q", s.Kind)
 	}

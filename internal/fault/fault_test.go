@@ -3,7 +3,9 @@ package fault
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -338,7 +340,7 @@ func TestInjectorDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunWallRepliesSchedule drives the wall-clock interpreter with a tiny
+// TestRunWallReplaysSchedule drives the wall-clock interpreter with a tiny
 // compressed profile and checks the hooks see the same kill/recover sequence
 // the schedule encodes.
 func TestRunWallReplaysSchedule(t *testing.T) {
@@ -390,7 +392,45 @@ func TestRunWallCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := RunWall(ctx, sched, WallHooks{Kill: func(int64) {}}, nil); err == nil {
-		t.Fatal("canceled RunWall returned nil")
+	hooks := WallHooks{Kill: func(int64) {}, Recover: func(int64) {}}
+	if err := RunWall(ctx, sched, hooks, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled RunWall returned %v, want context.Canceled", err)
+	}
+}
+
+// TestRunWallRefusesUnhonouredOps: a schedule whose ops the live target has
+// no hook for fails up front, naming the first such op, instead of replaying
+// a silently thinned schedule.
+func TestRunWallRefusesUnhonouredOps(t *testing.T) {
+	crash := Spec{Kind: KindCrash, Period: Dur(20 * time.Millisecond), MTTR: Dur(10 * time.Millisecond)}
+	storm := Spec{Kind: KindStorm, Rate: 200}
+	link := Spec{Kind: KindLoss, MeanGood: Dur(10 * time.Millisecond), MeanBad: Dur(10 * time.Millisecond), LossFrac: 0.5}
+	noop := func(int64) {}
+	cases := []struct {
+		name  string
+		specs []Spec
+		hooks WallHooks
+		want  string
+	}{
+		{"storm without join", []Spec{storm}, WallHooks{Kill: noop, Recover: noop}, "join"},
+		{"crash without kill", []Spec{crash}, WallHooks{Recover: noop}, "kill"},
+		{"crash without recover", []Spec{crash}, WallHooks{Kill: noop}, "recover"},
+		{"loss without link", []Spec{link}, WallHooks{Kill: noop, Recover: noop}, "link_bad"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sched, err := Compile(&Profile{Seed: 3, Duration: Dur(time.Hour), Specs: tc.specs}, testTargets(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A RunWall that starts replaying instead of refusing runs into
+			// the deadline and returns an error naming no op.
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			defer cancel()
+			err = RunWall(ctx, sched, tc.hooks, nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunWall error %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }

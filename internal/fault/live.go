@@ -2,14 +2,15 @@ package fault
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"cloudfog/internal/obs"
 )
 
-// WallHooks are the testbed-side callbacks RunWall drives. All are optional;
-// a nil hook skips its op. Hooks run on RunWall's goroutine in schedule
-// order and must not block for long, or later events slip.
+// WallHooks are the testbed-side callbacks RunWall drives. Hooks run on
+// RunWall's goroutine in schedule order and must not block for long, or
+// later events slip.
 type WallHooks struct {
 	// Kill terminates the live supernode process with the given fog ID.
 	Kill func(id int64)
@@ -21,21 +22,41 @@ type WallHooks struct {
 	Link func(extra time.Duration, lossFrac float64)
 	// Join starts one flash-crowd player.
 	Join func()
-	// CoordPartition pauses (on) or resumes (off) the coordinator process —
-	// SIGSTOP/SIGCONT in the multi-process harness.
-	CoordPartition func(on bool)
-	// Distress puts worker id into (or out of) self-reported overload
-	// distress, driving the coordinator's proactive drain.
-	Distress func(id int64, on bool)
+}
+
+// missing reports whether op needs a hook the target left nil. Bandwidth
+// and cloud-scale ops have no live counterpart by design and need none.
+func (h WallHooks) missing(op Op) bool {
+	switch op {
+	case OpKill:
+		return h.Kill == nil
+	case OpRecover:
+		return h.Recover == nil
+	case OpLinkBad, OpLinkGood, OpLatencyOn, OpLatencyOff:
+		return h.Link == nil
+	case OpJoin:
+		return h.Join == nil
+	}
+	return false
 }
 
 // RunWall replays a compiled schedule in wall-clock time against the live
 // runtime, so a testbed chaos run follows the exact event log a simulation
 // of the same profile follows. It returns when the profile horizon elapses
-// or ctx is canceled. Bandwidth and cloud-scale ops have no live
-// counterpart and map onto the Link hook's loss path only through the
-// schedule's own window lookups.
+// or ctx is canceled. A schedule with an in-horizon op the hooks cannot
+// honour is refused before the first event, rather than silently thinned.
+// Bandwidth and cloud-scale ops have no live counterpart and map onto the
+// Link hook's loss path only through the schedule's own window lookups.
 func RunWall(ctx context.Context, sched *Schedule, hooks WallHooks, stats *obs.FaultStats) error {
+	horizon := sched.Profile.Duration.Duration
+	for _, ev := range sched.Events {
+		if ev.At >= horizon {
+			break
+		}
+		if hooks.missing(ev.Op) {
+			return fmt.Errorf("fault: the live target has no hook for %s (first at %v)", ev.Op, ev.At)
+		}
+	}
 	start := time.Now()
 	downSince := make(map[int64]time.Time)
 	timer := time.NewTimer(0)
@@ -47,9 +68,6 @@ func RunWall(ctx context.Context, sched *Schedule, hooks WallHooks, stats *obs.F
 	apply := func(ev Event) {
 		switch ev.Op {
 		case OpKill:
-			if hooks.Kill == nil {
-				return
-			}
 			hooks.Kill(ev.Node)
 			if _, down := downSince[ev.Node]; !down {
 				downSince[ev.Node] = time.Now()
@@ -62,7 +80,7 @@ func RunWall(ctx context.Context, sched *Schedule, hooks WallHooks, stats *obs.F
 			}
 		case OpRecover:
 			downAt, ok := downSince[ev.Node]
-			if !ok || hooks.Recover == nil {
+			if !ok {
 				return
 			}
 			delete(downSince, ev.Node)
@@ -75,9 +93,6 @@ func RunWall(ctx context.Context, sched *Schedule, hooks WallHooks, stats *obs.F
 				}
 			}
 		case OpLinkBad, OpLinkGood, OpLatencyOn, OpLatencyOff:
-			if hooks.Link == nil {
-				return
-			}
 			// Query the schedule at the event time itself: window starts
 			// are inclusive and ends exclusive, so the post-edge state
 			// falls out of the same pure lookups the simulator uses.
@@ -95,28 +110,15 @@ func RunWall(ctx context.Context, sched *Schedule, hooks WallHooks, stats *obs.F
 				}
 			}
 		case OpJoin:
-			if hooks.Join == nil {
-				return
-			}
 			hooks.Join()
 			if stats != nil {
 				stats.StormJoins.Inc()
 			}
-		case OpCoordDown, OpCoordUp:
-			if hooks.CoordPartition == nil {
-				return
-			}
-			hooks.CoordPartition(ev.Op == OpCoordDown)
-		case OpDistressOn, OpDistressOff:
-			if hooks.Distress == nil {
-				return
-			}
-			hooks.Distress(ev.Node, ev.Op == OpDistressOn)
 		}
 	}
 
 	for _, ev := range sched.Events {
-		if ev.At >= sched.Profile.Duration.Duration {
+		if ev.At >= horizon {
 			// The sim injector never reaches past-horizon events either
 			// (RunUntil stops at the horizon); keep the interpreters aligned.
 			break
@@ -135,7 +137,7 @@ func RunWall(ctx context.Context, sched *Schedule, hooks WallHooks, stats *obs.F
 		apply(ev)
 	}
 	// Let the horizon tail play out so recoveries near the end settle.
-	rest := time.Until(start.Add(sched.Profile.Duration.Duration))
+	rest := time.Until(start.Add(horizon))
 	if rest > 0 {
 		timer.Reset(rest)
 		select {

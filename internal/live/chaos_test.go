@@ -7,10 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"cloudfog/internal/health"
 	"cloudfog/internal/obs"
 	"cloudfog/internal/proto"
-	"cloudfog/internal/world"
 )
 
 // TestLinkImpairLoss: a 0.5 loss fraction must drop exactly every second
@@ -160,9 +158,9 @@ func TestDialBackoffCancelMidSleep(t *testing.T) {
 // backup: the player must land on the cloud's direct stream, keep receiving
 // segments, and its error list must name the dead supernodes it tried.
 func TestPlayerCloudFallbackAllBackupsDown(t *testing.T) {
-	cloud, err := StartCloud(CloudConfig{
+	cloud, err := NewCloud(Config{
+		Role:      RoleCloud,
 		Addr:      "127.0.0.1:0",
-		World:     world.DefaultConfig(),
 		Tick:      33 * time.Millisecond,
 		DirectFPS: 30,
 	})
@@ -171,11 +169,11 @@ func TestPlayerCloudFallbackAllBackupsDown(t *testing.T) {
 	}
 	defer cloud.Close()
 
-	sn1, err := StartSupernode(SupernodeConfig{ID: 1, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
+	sn1, err := NewSupernode(Config{Role: RoleSupernode, ID: 1, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn2, err := StartSupernode(SupernodeConfig{ID: 2, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
+	sn2, err := NewSupernode(Config{Role: RoleSupernode, ID: 2, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +185,8 @@ func TestPlayerCloudFallbackAllBackupsDown(t *testing.T) {
 	}
 	resCh := make(chan result, 1)
 	go func() {
-		report, err := RunPlayer(PlayerConfig{
+		report, err := runPlayer(Config{
+			Role:        RolePlayer,
 			ID:          1,
 			GameID:      4,
 			CloudAddr:   cloud.Addr(),
@@ -227,75 +226,24 @@ func TestPlayerCloudFallbackAllBackupsDown(t *testing.T) {
 	}
 }
 
-// TestCloudDetectsSupernodeSilence runs a real heartbeat detector over the
-// TCP link: while the supernode beats, no suspicion; once it dies, the
-// cloud's detector flags it from the silence alone.
-func TestCloudDetectsSupernodeSilence(t *testing.T) {
-	cloud, err := StartCloud(CloudConfig{
-		Addr:  "127.0.0.1:0",
-		World: world.DefaultConfig(),
-		Tick:  20 * time.Millisecond,
-		Detector: health.DetectorConfig{
-			Mode:     health.ModeTimeout,
-			Interval: 50 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cloud.Close()
-
-	sn, err := StartSupernode(SupernodeConfig{
-		ID: 7, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0",
-		FPS: 30, HeartbeatEvery: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Alive and beating: no suspicion accrues.
-	time.Sleep(600 * time.Millisecond)
-	if dets, fps := cloud.FailureDetections(); dets != 0 || fps != 0 {
-		t.Fatalf("detections=%d falsePositives=%d while the supernode was beating", dets, fps)
-	}
-	if cloud.HeartbeatsReceived() == 0 {
-		t.Fatal("cloud received no heartbeats from a live supernode")
-	}
-
-	sn.Close()
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		if ids := cloud.DetectedFailures(); len(ids) == 1 && ids[0] == 7 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cloud never detected the dead supernode; suspected=%v", cloud.DetectedFailures())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if _, fps := cloud.FailureDetections(); fps != 0 {
-		t.Fatalf("detector logged %d false positives on a clean link", fps)
-	}
-}
-
 // TestPlayerStreamFailover kills the serving supernode mid-run and checks
 // the player reattaches to its backup and keeps receiving segments.
 func TestPlayerStreamFailover(t *testing.T) {
-	cloud, err := StartCloud(CloudConfig{
-		Addr:  "127.0.0.1:0",
-		World: world.DefaultConfig(),
-		Tick:  33 * time.Millisecond,
+	cloud, err := NewCloud(Config{
+		Role: RoleCloud,
+		Addr: "127.0.0.1:0",
+		Tick: 33 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cloud.Close()
 
-	sn1, err := StartSupernode(SupernodeConfig{ID: 1, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
+	sn1, err := NewSupernode(Config{Role: RoleSupernode, ID: 1, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn2, err := StartSupernode(SupernodeConfig{ID: 2, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
+	sn2, err := NewSupernode(Config{Role: RoleSupernode, ID: 2, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +255,8 @@ func TestPlayerStreamFailover(t *testing.T) {
 	}
 	resCh := make(chan result, 1)
 	go func() {
-		report, err := RunPlayer(PlayerConfig{
+		report, err := runPlayer(Config{
+			Role:        RolePlayer,
 			ID:          1,
 			GameID:      4,
 			CloudAddr:   cloud.Addr(),

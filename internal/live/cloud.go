@@ -3,72 +3,24 @@ package live
 import (
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
 	"cloudfog/internal/game"
-	"cloudfog/internal/health"
 	"cloudfog/internal/obs"
 	"cloudfog/internal/proto"
 	"cloudfog/internal/world"
 )
-
-// CloudConfig parameterizes the live cloud server. Validate rejects
-// incomplete configurations instead of papering over them with defaults.
-//
-// Deprecated: new code should build a role-tagged Config (Role: RoleCloud)
-// and use NewCloud; CloudConfig remains as the internal view the unified
-// config projects onto.
-type CloudConfig struct {
-	// Addr is the listen address ("127.0.0.1:0" for an ephemeral port).
-	Addr string
-	// World configures the authoritative virtual world.
-	World world.Config
-	// Tick is the world update cadence.
-	Tick time.Duration
-	// DelayFor, when non-nil, returns the one-way delay the cloud injects
-	// toward a subscribing supernode (keyed by the supernode's hello ID).
-	DelayFor func(snID int64) time.Duration
-	// Detector, when Mode != health.ModeOracle, runs heartbeat failure
-	// detection over supernode subscriptions: supernodes send THeartbeat
-	// frames and the cloud times the gaps. Detector state survives a
-	// dropped connection, so a vanished supernode is detected by its
-	// silence rather than forgotten. Zero fields use the health defaults.
-	Detector health.DetectorConfig
-	// DirectFPS, when positive, lets the cloud stream segments directly to
-	// players that connect with a TJoinStream first frame — the last-resort
-	// fallback when no supernode will serve them. Zero disables it.
-	DirectFPS int
-	// Obs, when non-nil, registers per-supernode update-link metrics
-	// (cloudfog_link_*{link="cloud_to_sn<ID>"}).
-	Obs *obs.Registry
-}
-
-// Validate reports configuration errors.
-func (c CloudConfig) Validate() error {
-	switch {
-	case c.Addr == "":
-		return fmt.Errorf("live: CloudConfig.Addr is empty (use \"127.0.0.1:0\" for an ephemeral port)")
-	case c.Tick <= 0:
-		return fmt.Errorf("live: CloudConfig.Tick %v is not positive", c.Tick)
-	case c.DirectFPS < 0:
-		return fmt.Errorf("live: CloudConfig.DirectFPS %d is negative", c.DirectFPS)
-	}
-	return nil
-}
 
 // Cloud is the live authoritative game server: it accepts player action
 // connections and supernode update subscriptions, ticks the virtual world
 // at a fixed rate, and ships deltas (plus the freshest action stamp per
 // player) to every subscribed supernode.
 type Cloud struct {
-	cfg CloudConfig
+	cfg  Config
+	opts Options
 
 	ln net.Listener
-	// start anchors the wall-clock offsets fed to the failure detectors;
-	// immutable after StartCloud.
-	start time.Time
 
 	mu      sync.Mutex
 	w       *world.World
@@ -78,14 +30,8 @@ type Cloud struct {
 	// direct-stream fallback to echo.
 	lastStamp map[int64]time.Duration
 	subs      map[int64]*cloudSub
-	// dets holds per-supernode failure detectors; entries survive dropped
-	// connections so silence keeps accruing after a crash.
-	dets       map[int64]*snHealth
-	directs    map[*Link]struct{} // live direct player streams
-	hbRecv     int64
-	detections int64
-	falsePos   int64
-	closed     bool
+	directs   map[*Link]struct{} // live direct player streams
+	closed    bool
 	// tickOnce encode arenas (mu-guarded): stamp frames are appended
 	// back-to-back into encScratch with stampOffs marking boundaries, and
 	// each delta is encoded once into deltaScratch. Send copies payloads
@@ -104,32 +50,25 @@ type cloudSub struct {
 	version uint64
 }
 
-// snHealth is one supernode's cloud-side liveness state.
-type snHealth struct {
-	det       *health.Detector
-	suspected bool
-}
-
-// StartCloud launches the cloud server described by cfg.
-//
-// Deprecated: prefer NewCloud(Config{Role: RoleCloud, ...}, opts...).
-func StartCloud(cfg CloudConfig) (*Cloud, error) {
-	if err := cfg.Validate(); err != nil {
+// NewCloud starts the cloud server described by a RoleCloud config; a zero
+// World means world.DefaultConfig().
+func NewCloud(cfg Config, opts ...Option) (*Cloud, error) {
+	if err := cfg.validateFor(RoleCloud, "NewCloud"); err != nil {
 		return nil, err
 	}
+	cfg.World = cfg.WorldConfig()
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("live: listen %s: %w", cfg.Addr, err)
 	}
 	c := &Cloud{
 		cfg:       cfg,
+		opts:      BuildOptions(opts...),
 		ln:        ln,
-		start:     time.Now(),
 		w:         world.New(cfg.World),
 		stamps:    make(map[int64]time.Duration),
 		lastStamp: make(map[int64]time.Duration),
 		subs:      make(map[int64]*cloudSub),
-		dets:      make(map[int64]*snHealth),
 		directs:   make(map[*Link]struct{}),
 		stop:      make(chan struct{}),
 	}
@@ -237,12 +176,12 @@ func (c *Cloud) servePlayer(conn net.Conn, playerID int64) {
 // the tick loop, so this goroutine just waits for disconnect.
 func (c *Cloud) serveSupernode(conn net.Conn, snID int64) {
 	var delay time.Duration
-	if c.cfg.DelayFor != nil {
-		delay = c.cfg.DelayFor(snID)
+	if c.opts.DelayFor != nil {
+		delay = c.opts.DelayFor(snID)
 	}
 	var stats *obs.LinkStats
-	if c.cfg.Obs != nil {
-		stats = obs.LinkStatsIn(c.cfg.Obs, fmt.Sprintf("cloud_to_sn%d", snID))
+	if c.opts.Obs != nil {
+		stats = obs.LinkStatsIn(c.opts.Obs, fmt.Sprintf("cloud_to_sn%d", snID))
 	}
 	link := NewLinkObs(conn, delay, stats)
 
@@ -255,42 +194,13 @@ func (c *Cloud) serveSupernode(conn net.Conn, snID int64) {
 	// A new subscription starts from a snapshot.
 	link.Send(proto.TDelta, proto.MarshalDelta(c.w.Snapshot()))
 	c.subs[snID] = &cloudSub{link: link, version: c.w.Version()}
-	var hd *snHealth
-	if c.cfg.Detector.Mode != health.ModeOracle {
-		hd = c.dets[snID]
-		if hd == nil {
-			hd = &snHealth{det: health.NewDetector(c.cfg.Detector)}
-			c.dets[snID] = hd
-		}
-		// A (re)subscribing supernode is a fresh instance: re-base its
-		// silence clock and clear any standing suspicion.
-		hd.det.Reset(time.Since(c.start))
-		hd.suspected = false
-	}
 	c.mu.Unlock()
 
-	// Consume the peer's frames (heartbeats) until it goes away. Its
-	// detector entry survives the disconnect: silence keeps accruing.
+	// Drain the peer's frames until it goes away.
 	for {
-		typ, payload, err := link.Recv()
-		if err != nil {
+		if _, _, err := link.Recv(); err != nil {
 			break
 		}
-		if typ != proto.THeartbeat || hd == nil {
-			continue
-		}
-		hb, err := proto.UnmarshalHeartbeat(payload)
-		if err != nil || hb.ID != snID {
-			continue
-		}
-		c.mu.Lock()
-		c.hbRecv++
-		hd.det.Heartbeat(time.Since(c.start))
-		if hd.suspected {
-			hd.suspected = false
-			c.falsePos++
-		}
-		c.mu.Unlock()
 	}
 	c.mu.Lock()
 	if sub, ok := c.subs[snID]; ok && sub.link == link {
@@ -374,38 +284,6 @@ done:
 	link.Close()
 }
 
-// HeartbeatsReceived returns how many supernode heartbeats the cloud's
-// detector has ingested.
-func (c *Cloud) HeartbeatsReceived() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hbRecv
-}
-
-// DetectedFailures returns the IDs of supernodes currently suspected dead,
-// sorted.
-func (c *Cloud) DetectedFailures() []int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var ids []int64
-	for id, hd := range c.dets {
-		if hd.suspected {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// FailureDetections returns the cumulative detection and false-positive
-// counts (a false positive is a suspicion cleared by a later heartbeat on
-// the same connection).
-func (c *Cloud) FailureDetections() (detections, falsePositives int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.detections, c.falsePos
-}
-
 // loop ticks the world at the configured rate and fans deltas out.
 func (c *Cloud) loop() {
 	defer c.wg.Done()
@@ -424,19 +302,6 @@ func (c *Cloud) loop() {
 func (c *Cloud) tickOnce() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Evaluate the failure detectors before the world step: a supernode
-	// whose silence crossed the threshold is flagged exactly once until a
-	// fresh heartbeat (a false positive) or a re-subscribe clears it.
-	if len(c.dets) > 0 {
-		now := time.Since(c.start)
-		for _, hd := range c.dets {
-			if hd.suspected || !hd.det.Suspect(now) {
-				continue
-			}
-			hd.suspected = true
-			c.detections++
-		}
-	}
 	c.w.Apply(c.pending)
 	c.pending = c.pending[:0]
 	c.w.Step(c.cfg.Tick.Seconds())

@@ -36,7 +36,7 @@ func ParseRole(s string) (RoleKind, error) {
 // and Validate checks exactly the fields the tagged role requires, so a
 // coordinator — or an operator's config file — can spawn any role from the
 // same schema. Runtime-only knobs that cannot serialize (injected delay
-// functions, metric registries, detector overrides) attach through the
+// functions, metric registries, join gates, tickets) attach through the
 // functional options accepted by NewCloud / NewSupernode / NewPlayer.
 //
 // Durations marshal as integer nanoseconds (Go's time.Duration JSON form).
@@ -58,7 +58,8 @@ type Config struct {
 	// StreamAddr.
 	CoordAddr string `json:"coord_addr,omitempty"`
 	// StreamAddr pins a player's serving supernode directly (no
-	// coordinator); BackupAddrs is its static failover ring.
+	// coordinator); BackupAddrs is its static failover ring, tried in order
+	// (wrapping) when the serving stream dies mid-run.
 	StreamAddr  string   `json:"stream_addr,omitempty"`
 	BackupAddrs []string `json:"backup_addrs,omitempty"`
 
@@ -67,15 +68,19 @@ type Config struct {
 	// stay reliable regardless.
 	Transport string `json:"transport,omitempty"`
 
-	// Cloud fields. A zero World means world.DefaultConfig().
+	// Cloud fields. A zero World means world.DefaultConfig(). DirectFPS,
+	// when positive, lets the cloud stream segments straight to players
+	// whose first frame is a join — the last-resort fallback when no
+	// supernode will serve them; zero disables it.
 	World     world.Config  `json:"world,omitempty"`
 	Tick      time.Duration `json:"tick,omitempty"`
 	DirectFPS int           `json:"direct_fps,omitempty"`
 
-	// Supernode / worker fields.
-	FPS            int           `json:"fps,omitempty"`
-	DelayToCloud   time.Duration `json:"delay_to_cloud,omitempty"`
-	HeartbeatEvery time.Duration `json:"heartbeat_every,omitempty"`
+	// Supernode / worker fields. FPS is the per-player segment rate;
+	// DelayToCloud is injected on the supernode's outbound cloud link (the
+	// cloud injects the update-path delay via its own WithDelayFor).
+	FPS          int           `json:"fps,omitempty"`
+	DelayToCloud time.Duration `json:"delay_to_cloud,omitempty"`
 	// X, Y locate a worker for the coordinator's spatial shortlist (and a
 	// player's placement request).
 	X float64 `json:"x,omitempty"`
@@ -93,7 +98,12 @@ type Config struct {
 	// means DefaultDrainTimeout).
 	DrainTimeout time.Duration `json:"drain_timeout,omitempty"`
 
-	// Player fields.
+	// Player fields. ActionDelay is the injected one-way player→cloud
+	// latency. UploadAllowance is subtracted from each response sample
+	// before the budget check: the paper's latency budget covers the
+	// downstream path (upload "does not seriously affect the response
+	// latency", §III-A), while a live player necessarily measures the full
+	// action→video loop.
 	GameID          int           `json:"game_id,omitempty"`
 	ActionDelay     time.Duration `json:"action_delay,omitempty"`
 	ActionEvery     time.Duration `json:"action_every,omitempty"`
@@ -114,8 +124,9 @@ type Config struct {
 	// half-life. Zero disables leases (tickets never expire).
 	LeaseTTL time.Duration `json:"lease_ttl,omitempty"`
 
-	// Detector configures heartbeat failure detection (cloud over supernode
-	// heartbeats, coordinator over worker reports).
+	// Detector configures the control plane's failure detection: the
+	// coordinator's detector over worker report gaps, and a worker's
+	// watchdog over the coordinator's TSync beacon gaps.
 	Detector health.DetectorConfig `json:"detector,omitempty"`
 	// Overload configures the coordinator's placement admission ladder; the
 	// zero value means health.DefaultOverloadConfig().
@@ -132,40 +143,65 @@ const (
 	DefaultDrainTimeout = 5 * time.Second
 )
 
-// Validate reports configuration errors for the tagged role.
+// Validate reports configuration errors for the tagged role. It is the only
+// validator: every constructor runs it, and it never falls back to defaults.
 func (c Config) Validate() error {
 	if !validTransport(c.Transport) {
 		return fmt.Errorf("live: Config.Transport %q is not %q or %q", c.Transport, TransportTCP, TransportUDP)
 	}
 	switch c.Role {
 	case RoleCloud:
-		return c.cloudView().Validate()
+		switch {
+		case c.Addr == "":
+			return fmt.Errorf("live: cloud Config.Addr is empty (use \"127.0.0.1:0\" for an ephemeral port)")
+		case c.Tick <= 0:
+			return fmt.Errorf("live: cloud Config.Tick %v is not positive", c.Tick)
+		case c.DirectFPS < 0:
+			return fmt.Errorf("live: cloud Config.DirectFPS %d is negative", c.DirectFPS)
+		}
 	case RoleSupernode:
-		if err := c.supernodeView().Validate(); err != nil {
-			return err
+		switch {
+		case c.CloudAddr == "":
+			return fmt.Errorf("live: supernode Config.CloudAddr is empty")
+		case c.Addr == "":
+			return fmt.Errorf("live: supernode Config.Addr is empty (use \"127.0.0.1:0\" for an ephemeral port)")
+		case c.DelayToCloud < 0:
+			return fmt.Errorf("live: supernode Config.DelayToCloud %v is negative", c.DelayToCloud)
+		case c.FPS <= 0:
+			return fmt.Errorf("live: supernode Config.FPS %d is not positive", c.FPS)
 		}
-		if c.CoordAddr != "" {
-			switch {
-			case c.Capacity <= 0:
-				return fmt.Errorf("live: worker Config.Capacity %d is not positive", c.Capacity)
-			case c.ReportEvery <= 0:
-				return fmt.Errorf("live: worker Config.ReportEvery %v is not positive", c.ReportEvery)
-			case c.SkewTolerance < 0:
-				return fmt.Errorf("live: worker Config.SkewTolerance %v is negative", c.SkewTolerance)
-			case c.DrainTimeout < 0:
-				return fmt.Errorf("live: worker Config.DrainTimeout %v is negative", c.DrainTimeout)
-			}
-		}
-		return nil
-	case RolePlayer:
 		if c.CoordAddr == "" {
-			return c.playerView().Validate()
+			return nil
 		}
-		// A coordinator-placed player gets StreamAddr from its ticket;
-		// validate everything else through the classic view.
-		v := c.playerView()
-		v.StreamAddr = "ticket"
-		return v.Validate()
+		switch {
+		case c.Capacity <= 0:
+			return fmt.Errorf("live: worker Config.Capacity %d is not positive", c.Capacity)
+		case c.ReportEvery <= 0:
+			return fmt.Errorf("live: worker Config.ReportEvery %v is not positive", c.ReportEvery)
+		case c.SkewTolerance < 0:
+			return fmt.Errorf("live: worker Config.SkewTolerance %v is negative", c.SkewTolerance)
+		case c.DrainTimeout < 0:
+			return fmt.Errorf("live: worker Config.DrainTimeout %v is negative", c.DrainTimeout)
+		}
+	case RolePlayer:
+		// A coordinator-placed player gets StreamAddr from its ticket.
+		switch {
+		case c.CloudAddr == "":
+			return fmt.Errorf("live: player Config.CloudAddr is empty")
+		case c.StreamAddr == "" && c.CoordAddr == "":
+			return fmt.Errorf("live: player Config.StreamAddr is empty (or set CoordAddr to be placed by ticket)")
+		case c.ActionDelay < 0:
+			return fmt.Errorf("live: player Config.ActionDelay %v is negative", c.ActionDelay)
+		case c.ActionEvery <= 0:
+			return fmt.Errorf("live: player Config.ActionEvery %v is not positive (DefaultActionEvery is %v)",
+				c.ActionEvery, DefaultActionEvery)
+		case c.ViewRadius <= 0:
+			return fmt.Errorf("live: player Config.ViewRadius %v is not positive (DefaultViewRadius is %v)",
+				c.ViewRadius, DefaultViewRadius)
+		}
+		if _, err := game.ByID(c.GameID); err != nil {
+			return fmt.Errorf("live: player Config.GameID %d: %w", c.GameID, err)
+		}
 	case RoleCoordinator:
 		switch {
 		case c.Addr == "":
@@ -178,14 +214,21 @@ func (c Config) Validate() error {
 			return fmt.Errorf("live: coordinator Config.LeaseTTL %v is negative", c.LeaseTTL)
 		}
 		if c.Overload != (health.OverloadConfig{}) {
-			if err := c.Overload.Validate(); err != nil {
-				return err
-			}
+			return c.Overload.Validate()
 		}
-		return nil
 	default:
 		return fmt.Errorf("live: Config.Role %q is not a known role (cloud|supernode|player|coordinator)", c.Role)
 	}
+	return nil
+}
+
+// validateFor is every constructor's entry check: the config must carry the
+// constructor's role and pass Validate.
+func (c Config) validateFor(role RoleKind, ctor string) error {
+	if c.Role != role {
+		return fmt.Errorf("live: %s on Config.Role %q", ctor, c.Role)
+	}
+	return c.Validate()
 }
 
 // WorldConfig returns the cloud world configuration, substituting
@@ -198,70 +241,31 @@ func (c Config) WorldConfig() world.Config {
 	return c.World
 }
 
-// cloudView projects the role-tagged config onto the legacy cloud struct.
-func (c Config) cloudView() CloudConfig {
-	return CloudConfig{
-		Addr:      c.Addr,
-		World:     c.WorldConfig(),
-		Tick:      c.Tick,
-		Detector:  c.Detector,
-		DirectFPS: c.DirectFPS,
-	}
-}
-
-// supernodeView projects the role-tagged config onto the legacy supernode
-// struct.
-func (c Config) supernodeView() SupernodeConfig {
-	return SupernodeConfig{
-		ID:             c.ID,
-		CloudAddr:      c.CloudAddr,
-		Addr:           c.Addr,
-		Transport:      c.Transport,
-		DelayToCloud:   c.DelayToCloud,
-		FPS:            c.FPS,
-		HeartbeatEvery: c.HeartbeatEvery,
-	}
-}
-
-// playerView projects the role-tagged config onto the legacy player struct.
-func (c Config) playerView() PlayerConfig {
-	return PlayerConfig{
-		ID:              c.ID,
-		GameID:          c.GameID,
-		CloudAddr:       c.CloudAddr,
-		StreamAddr:      c.StreamAddr,
-		BackupAddrs:     c.BackupAddrs,
-		Transport:       c.Transport,
-		ActionDelay:     c.ActionDelay,
-		ActionEvery:     c.ActionEvery,
-		UploadAllowance: c.UploadAllowance,
-		ViewRadius:      c.ViewRadius,
-	}
-}
-
 // Options carries the runtime-only attachments a serializable Config cannot:
-// injected per-peer delays, metric registries, and late overrides. Build one
-// with the With* functional options.
+// injected per-peer delays, metric registries, and hooks. Build one with the
+// With* functional options.
 type Options struct {
 	// Obs, when non-nil, registers the role's link (and coordinator)
 	// metrics.
 	Obs *obs.Registry
 	// DelayFor, when non-nil, returns the injected one-way delay toward the
 	// identified peer (the cloud keys it by supernode ID, a supernode by
-	// player ID).
+	// player ID, Dial by the dialing role's own ID).
 	DelayFor func(peerID int64) time.Duration
-	// Detector, when non-nil, overrides the config's detector.
-	Detector *health.DetectorConfig
-	// Transport, when non-empty, overrides the config's stream transport.
-	Transport string
 	// Occupancy, when non-nil, overrides a worker's reported load (defaults
 	// to the supernode's live session count).
 	Occupancy func() int
-	// JoinGate, when non-nil, vets every player join at a supernode (see
-	// SupernodeConfig.JoinGate) — the hook a lease-enforcing worker uses to
-	// reject expired tickets and refuse new placements in safe mode.
+	// JoinGate, when non-nil, vets every player join at a supernode — the
+	// initial subscription and every datagram keepalive re-join — and
+	// returns an Ack code: proto.AckOK admits, anything else refuses the
+	// join and the code is reported to the player. known is true when the
+	// player already has a live stream there. A lease-enforcing worker uses
+	// it to reject expired tickets and, in partition safe mode, to keep
+	// serving known players while refusing new placements.
 	JoinGate func(join proto.JoinStream, known bool) uint32
-	// Ticket is a player's encoded session ticket, embedded in its joins.
+	// Ticket is a player's encoded session ticket; it rides inside every
+	// join so lease-enforcing workers can verify the placement and its
+	// expiry.
 	Ticket []byte
 	// Retarget, when non-nil, delivers replacement stream targets to a
 	// running player (coordinator-driven drain handoffs).
@@ -278,14 +282,6 @@ func WithObs(r *obs.Registry) Option { return func(o *Options) { o.Obs = r } }
 func WithDelayFor(f func(peerID int64) time.Duration) Option {
 	return func(o *Options) { o.DelayFor = f }
 }
-
-// WithDetector overrides the failure-detector configuration.
-func WithDetector(d health.DetectorConfig) Option {
-	return func(o *Options) { o.Detector = &d }
-}
-
-// WithTransport overrides the stream transport (TransportTCP/TransportUDP).
-func WithTransport(t string) Option { return func(o *Options) { o.Transport = t } }
 
 // WithOccupancy overrides the load a worker reports to the coordinator.
 func WithOccupancy(f func() int) Option { return func(o *Options) { o.Occupancy = f } }
@@ -310,81 +306,6 @@ func BuildOptions(opts ...Option) Options {
 		fn(&o)
 	}
 	return o
-}
-
-// Applied folds the runtime option overrides (transport, detector) into the
-// serializable config, returning the effective config — for packages
-// layering on top of live (the coordinator) that accept the same options.
-func (c Config) Applied(o Options) Config { return c.apply(o) }
-
-// apply folds the runtime options into the serializable config, returning
-// the effective config.
-func (c Config) apply(o Options) Config {
-	if o.Transport != "" {
-		c.Transport = o.Transport
-	}
-	if o.Detector != nil {
-		c.Detector = *o.Detector
-	}
-	return c
-}
-
-// NewCloud starts a cloud server from a role-tagged config plus runtime
-// options. The config's Role must be RoleCloud.
-func NewCloud(cfg Config, opts ...Option) (*Cloud, error) {
-	if cfg.Role != RoleCloud {
-		return nil, fmt.Errorf("live: NewCloud on Config.Role %q", cfg.Role)
-	}
-	o := BuildOptions(opts...)
-	cc := cfg.apply(o).cloudView()
-	cc.DelayFor = o.DelayFor
-	cc.Obs = o.Obs
-	return StartCloud(cc)
-}
-
-// NewSupernode starts a supernode from a role-tagged config plus runtime
-// options. The config's Role must be RoleSupernode. (A config with CoordAddr
-// set describes a coordinator-registered worker; start it through
-// coord.StartWorker, which calls back into this constructor.)
-func NewSupernode(cfg Config, opts ...Option) (*Supernode, error) {
-	if cfg.Role != RoleSupernode {
-		return nil, fmt.Errorf("live: NewSupernode on Config.Role %q", cfg.Role)
-	}
-	o := BuildOptions(opts...)
-	sc := cfg.apply(o).supernodeView()
-	sc.DelayFor = o.DelayFor
-	sc.Obs = o.Obs
-	sc.JoinGate = o.JoinGate
-	return StartSupernode(sc)
-}
-
-// Player is a constructed-but-not-yet-run player session; Run drives it for
-// a wall-clock duration and returns the report.
-type Player struct {
-	cfg PlayerConfig
-}
-
-// NewPlayer builds a player from a role-tagged config plus runtime options.
-// The config's Role must be RolePlayer and StreamAddr must be resolved (a
-// coordinator-placed player resolves it from its ticket first).
-func NewPlayer(cfg Config, opts ...Option) (*Player, error) {
-	if cfg.Role != RolePlayer {
-		return nil, fmt.Errorf("live: NewPlayer on Config.Role %q", cfg.Role)
-	}
-	o := BuildOptions(opts...)
-	pc := cfg.apply(o).playerView()
-	pc.Obs = o.Obs
-	pc.Ticket = o.Ticket
-	pc.Retarget = o.Retarget
-	if err := pc.Validate(); err != nil {
-		return nil, err
-	}
-	return &Player{cfg: pc}, nil
-}
-
-// Run drives the player for the given wall-clock duration.
-func (p *Player) Run(duration time.Duration) (PlayerReport, error) {
-	return RunPlayer(p.cfg, duration)
 }
 
 // DefaultedPlayer fills a player config's unset cadence and radius with the

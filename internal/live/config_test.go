@@ -18,7 +18,6 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 			Role: RoleCloud, Addr: "127.0.0.1:0",
 			World: world.DefaultConfig(), Tick: 50 * time.Millisecond,
 			DirectFPS: 10,
-			Detector:  health.DetectorConfig{Mode: health.ModePhi, Interval: 100 * time.Millisecond},
 		},
 		{
 			Role: RoleSupernode, ID: 3, Addr: "127.0.0.1:0",
@@ -35,6 +34,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 		{
 			Role: RoleCoordinator, Addr: "127.0.0.1:0",
 			ShortlistK: 4, Backups: 2, TicketKey: "secret",
+			Detector: health.DetectorConfig{Mode: health.ModePhi, Interval: 100 * time.Millisecond},
 			Overload: health.DefaultOverloadConfig(),
 		},
 	}
@@ -110,7 +110,7 @@ func TestConfigConstructors(t *testing.T) {
 	cloud, err := NewCloud(Config{
 		Role: RoleCloud, Addr: "127.0.0.1:0",
 		Tick: 20 * time.Millisecond, DirectFPS: 10,
-	}, WithDetector(health.DetectorConfig{Mode: health.ModeTimeout, Interval: 100 * time.Millisecond}))
+	})
 	if err != nil {
 		t.Fatalf("NewCloud: %v", err)
 	}
@@ -118,8 +118,8 @@ func TestConfigConstructors(t *testing.T) {
 
 	sn, err := NewSupernode(Config{
 		Role: RoleSupernode, ID: 1, Addr: "127.0.0.1:0",
-		CloudAddr: cloud.Addr(), FPS: 60,
-	}, WithTransport(TransportTCP))
+		CloudAddr: cloud.Addr(), FPS: 60, Transport: TransportTCP,
+	})
 	if err != nil {
 		t.Fatalf("NewSupernode: %v", err)
 	}

@@ -23,8 +23,6 @@ import (
 // delay (DelayFor keyed by cfg.ID) and link stats via WithObs/WithDelayFor.
 func Dial(ctx context.Context, role RoleKind, cfg Config, opts ...Option) (Transport, error) {
 	o := BuildOptions(opts...)
-	cfg = cfg.apply(o)
-
 	var addr string
 	udp := false
 	switch role {

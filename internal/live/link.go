@@ -65,7 +65,7 @@ const (
 	// first frame of a batch while gathering more. ~2 ms trades a bounded,
 	// sub-frame-interval latency cost for an order-of-magnitude reduction
 	// in write syscalls at segment-throughput saturation. Frames whose
-	// type is urgent (heartbeats, acks, hellos) always flush immediately,
+	// type is urgent (acks, hellos, control frames) always flush immediately,
 	// so failure detectors see no added jitter.
 	DefaultFlushDeadline = 2 * time.Millisecond
 
@@ -221,13 +221,12 @@ func (l *linkCore) init(conn net.Conn, opts LinkOptions, dgram bool) {
 	go l.writer()
 }
 
-// urgentType reports whether frames of type t must flush immediately:
-// heartbeats, acks, and the coordinator control frames feed failure
-// detectors and handshakes, so coalescing jitter on them would show up as
-// detector noise.
+// urgentType reports whether frames of type t must flush immediately: acks,
+// hellos, and the coordinator control frames feed failure detectors and
+// handshakes, so coalescing jitter on them would show up as detector noise.
 func urgentType(t proto.MsgType) bool {
 	switch t {
-	case proto.THeartbeat, proto.TAck, proto.THello,
+	case proto.TAck, proto.THello,
 		proto.TRegister, proto.TReport, proto.TTicket, proto.TSync:
 		return true
 	}

@@ -77,26 +77,25 @@ func TestLinkPeerGoneSetsErr(t *testing.T) {
 // the injected path delay.
 func TestEndToEndPipeline(t *testing.T) {
 	const updateDelay = 10 * time.Millisecond
-	cloud, err := StartCloud(CloudConfig{
-		Addr:     "127.0.0.1:0",
-		World:    world.DefaultConfig(),
-		Tick:     33 * time.Millisecond,
-		DelayFor: func(int64) time.Duration { return updateDelay },
-	})
+	cloud, err := NewCloud(Config{
+		Role: RoleCloud,
+		Addr: "127.0.0.1:0",
+		Tick: 33 * time.Millisecond,
+	}, WithDelayFor(func(int64) time.Duration { return updateDelay }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cloud.Close()
 
 	const streamDelay = 8 * time.Millisecond
-	sn, err := StartSupernode(SupernodeConfig{
+	sn, err := NewSupernode(Config{
+		Role:         RoleSupernode,
 		ID:           1_000_000,
 		CloudAddr:    cloud.Addr(),
 		Addr:         "127.0.0.1:0",
 		DelayToCloud: 5 * time.Millisecond,
 		FPS:          30,
-		DelayFor:     func(int64) time.Duration { return streamDelay },
-	})
+	}, WithDelayFor(func(int64) time.Duration { return streamDelay }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +115,8 @@ func TestEndToEndPipeline(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reports[i], errs[i] = RunPlayer(PlayerConfig{
+			reports[i], errs[i] = runPlayer(Config{
+				Role:        RolePlayer,
 				ID:          int64(i + 1),
 				GameID:      4,
 				CloudAddr:   cloud.Addr(),
@@ -175,7 +175,7 @@ func TestEndToEndPipeline(t *testing.T) {
 }
 
 func TestCloudRejectsBadHello(t *testing.T) {
-	cloud, err := StartCloud(CloudConfig{Addr: "127.0.0.1:0", World: world.DefaultConfig(), Tick: 33 * time.Millisecond})
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: 33 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +196,12 @@ func TestCloudRejectsBadHello(t *testing.T) {
 }
 
 func TestSupernodeRejectsBadJoin(t *testing.T) {
-	cloud, err := StartCloud(CloudConfig{Addr: "127.0.0.1:0", World: world.DefaultConfig(), Tick: 33 * time.Millisecond})
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: 33 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cloud.Close()
-	sn, err := StartSupernode(SupernodeConfig{ID: 5, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
+	sn, err := NewSupernode(Config{Role: RoleSupernode, ID: 5, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +231,11 @@ func TestSupernodeRejectsBadJoin(t *testing.T) {
 }
 
 func TestCloudCloseIsClean(t *testing.T) {
-	cloud, err := StartCloud(CloudConfig{Addr: "127.0.0.1:0", World: world.DefaultConfig(), Tick: 10 * time.Millisecond})
+	cloud, err := NewCloud(Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := StartSupernode(SupernodeConfig{ID: 9, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
+	sn, err := NewSupernode(Config{Role: RoleSupernode, ID: 9, CloudAddr: cloud.Addr(), Addr: "127.0.0.1:0", FPS: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,34 +246,47 @@ func TestCloudCloseIsClean(t *testing.T) {
 	sn.Close()
 }
 
+// runPlayer builds a player from cfg and runs it for d.
+func runPlayer(cfg Config, d time.Duration, opts ...Option) (PlayerReport, error) {
+	p, err := NewPlayer(cfg, opts...)
+	if err != nil {
+		return PlayerReport{}, err
+	}
+	return p.Run(d)
+}
+
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
-		err  error
+		cfg  Config
 		want string
 	}{
-		{"cloud empty addr", CloudConfig{Tick: time.Second}.Validate(), "Addr is empty"},
-		{"cloud zero tick", CloudConfig{Addr: "127.0.0.1:0"}.Validate(), "Tick"},
-		{"sn empty cloud addr", SupernodeConfig{Addr: "127.0.0.1:0", FPS: 30}.Validate(), "CloudAddr is empty"},
-		{"sn empty addr", SupernodeConfig{CloudAddr: "x", FPS: 30}.Validate(), "Addr is empty"},
-		{"sn zero fps", SupernodeConfig{CloudAddr: "x", Addr: "127.0.0.1:0"}.Validate(), "FPS"},
-		{"sn negative delay", SupernodeConfig{CloudAddr: "x", Addr: "y", FPS: 30, DelayToCloud: -time.Second}.Validate(), "DelayToCloud"},
-		{"player empty cloud addr", PlayerConfig{StreamAddr: "y", GameID: 1, ActionEvery: time.Second, ViewRadius: 1}.Validate(), "CloudAddr is empty"},
-		{"player zero cadence", PlayerConfig{CloudAddr: "x", StreamAddr: "y", GameID: 1, ViewRadius: 1}.Validate(), "ActionEvery"},
-		{"player zero radius", PlayerConfig{CloudAddr: "x", StreamAddr: "y", GameID: 1, ActionEvery: time.Second}.Validate(), "ViewRadius"},
-		{"player bad game", PlayerConfig{CloudAddr: "x", StreamAddr: "y", GameID: 99, ActionEvery: time.Second, ViewRadius: 1}.Validate(), "GameID"},
+		{"cloud empty addr", Config{Role: RoleCloud, Tick: time.Second}, "Addr is empty"},
+		{"cloud zero tick", Config{Role: RoleCloud, Addr: "127.0.0.1:0"}, "Tick"},
+		{"cloud negative direct fps", Config{Role: RoleCloud, Addr: "127.0.0.1:0", Tick: time.Second, DirectFPS: -1}, "DirectFPS"},
+		{"sn empty cloud addr", Config{Role: RoleSupernode, Addr: "127.0.0.1:0", FPS: 30}, "CloudAddr is empty"},
+		{"sn empty addr", Config{Role: RoleSupernode, CloudAddr: "x", FPS: 30}, "Addr is empty"},
+		{"sn zero fps", Config{Role: RoleSupernode, CloudAddr: "x", Addr: "127.0.0.1:0"}, "FPS"},
+		{"sn negative delay", Config{Role: RoleSupernode, CloudAddr: "x", Addr: "y", FPS: 30, DelayToCloud: -time.Second}, "DelayToCloud"},
+		{"player empty cloud addr", Config{Role: RolePlayer, StreamAddr: "y", GameID: 1, ActionEvery: time.Second, ViewRadius: 1}, "CloudAddr is empty"},
+		{"player empty stream addr", Config{Role: RolePlayer, CloudAddr: "x", GameID: 1, ActionEvery: time.Second, ViewRadius: 1}, "StreamAddr is empty"},
+		{"player negative action delay", Config{Role: RolePlayer, CloudAddr: "x", StreamAddr: "y", GameID: 1, ActionDelay: -time.Second, ActionEvery: time.Second, ViewRadius: 1}, "ActionDelay"},
+		{"player zero cadence", Config{Role: RolePlayer, CloudAddr: "x", StreamAddr: "y", GameID: 1, ViewRadius: 1}, "ActionEvery"},
+		{"player zero radius", Config{Role: RolePlayer, CloudAddr: "x", StreamAddr: "y", GameID: 1, ActionEvery: time.Second}, "ViewRadius"},
+		{"player bad game", Config{Role: RolePlayer, CloudAddr: "x", StreamAddr: "y", GameID: 99, ActionEvery: time.Second, ViewRadius: 1}, "GameID"},
 	}
 	for _, c := range cases {
-		if c.err == nil {
+		err := c.cfg.Validate()
+		if err == nil {
 			t.Errorf("%s: no error", c.name)
 			continue
 		}
-		if !strings.Contains(c.err.Error(), c.want) {
-			t.Errorf("%s: error %q does not mention %q", c.name, c.err, c.want)
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
-	ok := PlayerConfig{
-		CloudAddr: "x", StreamAddr: "y", GameID: 1,
+	ok := Config{
+		Role: RolePlayer, CloudAddr: "x", StreamAddr: "y", GameID: 1,
 		ActionEvery: DefaultActionEvery, ViewRadius: DefaultViewRadius,
 	}
 	if err := ok.Validate(); err != nil {
@@ -282,14 +295,24 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestStartRejectsInvalidConfig(t *testing.T) {
-	if _, err := StartCloud(CloudConfig{}); err == nil {
-		t.Error("StartCloud accepted an empty config")
+	if _, err := NewCloud(Config{Role: RoleCloud}); err == nil {
+		t.Error("NewCloud accepted an empty config")
 	}
-	if _, err := StartSupernode(SupernodeConfig{}); err == nil {
-		t.Error("StartSupernode accepted an empty config")
+	if _, err := NewSupernode(Config{Role: RoleSupernode}); err == nil {
+		t.Error("NewSupernode accepted an empty config")
 	}
-	if _, err := RunPlayer(PlayerConfig{}, time.Second); err == nil {
-		t.Error("RunPlayer accepted an empty config")
+	if _, err := NewPlayer(Config{Role: RolePlayer}); err == nil {
+		t.Error("NewPlayer accepted an empty config")
+	}
+	if _, err := NewCloud(Config{Role: RoleSupernode, Addr: "127.0.0.1:0", Tick: time.Second}); err == nil {
+		t.Error("NewCloud accepted a config tagged for another role")
+	}
+	// A coordinator-placed player validates without StreamAddr, but cannot
+	// run until its ticket resolves one.
+	unresolved := Config{Role: RolePlayer, CloudAddr: "x", CoordAddr: "y", GameID: 1,
+		ActionEvery: DefaultActionEvery, ViewRadius: DefaultViewRadius}
+	if _, err := NewPlayer(unresolved); err == nil {
+		t.Error("NewPlayer accepted a config with no resolved StreamAddr")
 	}
 }
 

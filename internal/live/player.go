@@ -14,60 +14,14 @@ import (
 	"cloudfog/internal/world"
 )
 
-// Suggested PlayerConfig values for callers with no opinion of their own.
-// Validate does NOT fall back to them: an unset cadence or view radius is a
-// configuration error, not a request for defaults.
+// Suggested player Config values for callers with no opinion of their own
+// (DefaultedPlayer fills them in). Validate does NOT fall back to them: an
+// unset cadence or view radius is a configuration error, not a request for
+// defaults.
 const (
 	DefaultActionEvery = 250 * time.Millisecond
 	DefaultViewRadius  = 600.0
 )
-
-// PlayerConfig describes one live player client.
-//
-// Deprecated: new code should build a role-tagged Config (Role: RolePlayer)
-// and use NewPlayer; PlayerConfig remains as the internal view the unified
-// config projects onto.
-type PlayerConfig struct {
-	ID     int64
-	GameID int
-	// CloudAddr receives the action stream; StreamAddr serves the video.
-	CloudAddr  string
-	StreamAddr string
-	// BackupAddrs are fallback supernode stream addresses, tried in order
-	// (wrapping) when the serving stream dies mid-run — the live analogue
-	// of the fog's backup-failover list.
-	BackupAddrs []string
-	// Transport selects the supernode stream transport: TransportTCP
-	// (default when empty) or TransportUDP. It must match the supernodes'
-	// mode. The action link and the cloud's direct-stream fallback are
-	// always TCP.
-	Transport string
-	// ActionDelay is the injected one-way player→cloud latency.
-	ActionDelay time.Duration
-	// ActionEvery is the input cadence (see DefaultActionEvery).
-	ActionEvery time.Duration
-	// UploadAllowance is subtracted from each response sample before the
-	// budget check: the paper's latency budget covers the downstream path
-	// (upload "does not seriously affect the response latency", §III-A),
-	// while RunPlayer necessarily measures the full action→video loop.
-	UploadAllowance time.Duration
-	// ViewRadius is the player's visible range in world units (see
-	// DefaultViewRadius).
-	ViewRadius float64
-	// Obs, when non-nil, registers the player's action-link metrics
-	// (cloudfog_link_*{link="p<ID>_to_cloud"}).
-	Obs *obs.Registry
-	// Ticket carries the player's encoded session ticket; when non-empty it
-	// rides inside every join so lease-enforcing workers can verify the
-	// placement and its expiry.
-	Ticket []byte
-	// Retarget, when non-nil, delivers replacement stream targets mid-run
-	// (a coordinator draining the serving worker pushes one). The player
-	// performs a make-before-break handoff: subscribe to the new target
-	// first, then drop the old stream — zero interruptions, counted as a
-	// Handoff rather than a Failover.
-	Retarget <-chan StreamTarget
-}
 
 // StreamTarget names a replacement stream destination pushed mid-session:
 // the new serving address, its failover ring, the stream transport, and the
@@ -77,30 +31,6 @@ type StreamTarget struct {
 	Backups   []string
 	Transport string
 	Ticket    []byte
-}
-
-// Validate reports configuration errors.
-func (c PlayerConfig) Validate() error {
-	switch {
-	case c.CloudAddr == "":
-		return fmt.Errorf("live: PlayerConfig.CloudAddr is empty")
-	case c.StreamAddr == "":
-		return fmt.Errorf("live: PlayerConfig.StreamAddr is empty")
-	case c.ActionDelay < 0:
-		return fmt.Errorf("live: PlayerConfig.ActionDelay %v is negative", c.ActionDelay)
-	case c.ActionEvery <= 0:
-		return fmt.Errorf("live: PlayerConfig.ActionEvery %v is not positive (DefaultActionEvery is %v)",
-			c.ActionEvery, DefaultActionEvery)
-	case c.ViewRadius <= 0:
-		return fmt.Errorf("live: PlayerConfig.ViewRadius %v is not positive (DefaultViewRadius is %v)",
-			c.ViewRadius, DefaultViewRadius)
-	case !validTransport(c.Transport):
-		return fmt.Errorf("live: PlayerConfig.Transport %q is not %q or %q", c.Transport, TransportTCP, TransportUDP)
-	}
-	if _, err := game.ByID(c.GameID); err != nil {
-		return fmt.Errorf("live: PlayerConfig.GameID %d: %w", c.GameID, err)
-	}
-	return nil
 }
 
 // PlayerReport summarizes a live player session.
@@ -133,16 +63,40 @@ type PlayerReport struct {
 // quickly.
 const failoverDialDeadline = time.Second
 
-// RunPlayer drives one player for the given wall-clock duration: an action
+// Player is a constructed-but-not-yet-run player session; Run drives it for
+// a wall-clock duration and returns the report.
+type Player struct {
+	cfg  Config
+	opts Options
+}
+
+// NewPlayer builds a player from a RolePlayer config plus runtime options.
+// StreamAddr must be resolved: a coordinator-placed player resolves it from
+// its ticket first (coord.Session does).
+func NewPlayer(cfg Config, opts ...Option) (*Player, error) {
+	if err := cfg.validateFor(RolePlayer, "NewPlayer"); err != nil {
+		return nil, err
+	}
+	if cfg.StreamAddr == "" {
+		return nil, fmt.Errorf("live: NewPlayer needs a resolved Config.StreamAddr")
+	}
+	return &Player{cfg: cfg, opts: BuildOptions(opts...)}, nil
+}
+
+// Run drives the player for the given wall-clock duration: an action
 // connection to the cloud (move commands toward wandering targets) and a
 // stream subscription at the supernode. Response latency is measured from
 // action issue to the arrival of the first segment stamped with it.
 //
-// Deprecated: prefer NewPlayer(Config{Role: RolePlayer, ...}).Run(duration).
-func RunPlayer(cfg PlayerConfig, duration time.Duration) (PlayerReport, error) {
-	if err := cfg.Validate(); err != nil {
-		return PlayerReport{}, err
-	}
+// The stream fails over through BackupAddrs (wrapping) when the serving
+// stream dies mid-run — the live analogue of the fog's backup-failover list
+// — and to the cloud's direct stream when the whole ring refuses. A Retarget
+// option delivers replacement targets mid-run (a coordinator draining the
+// serving worker pushes one): the player subscribes to the new target first,
+// then drops the old stream — zero interruptions, counted as a Handoff
+// rather than a Failover.
+func (p *Player) Run(duration time.Duration) (PlayerReport, error) {
+	cfg, retarget := p.cfg, p.opts.Retarget
 	g, err := game.ByID(cfg.GameID)
 	if err != nil {
 		return PlayerReport{}, err
@@ -156,8 +110,8 @@ func RunPlayer(cfg PlayerConfig, duration time.Duration) (PlayerReport, error) {
 		return PlayerReport{}, err
 	}
 	var actStats *obs.LinkStats
-	if cfg.Obs != nil {
-		actStats = obs.LinkStatsIn(cfg.Obs, fmt.Sprintf("p%d_to_cloud", cfg.ID))
+	if p.opts.Obs != nil {
+		actStats = obs.LinkStatsIn(p.opts.Obs, fmt.Sprintf("p%d_to_cloud", cfg.ID))
 	}
 	actLink := NewLinkObs(actConn, cfg.ActionDelay, actStats)
 	defer actLink.Close()
@@ -174,7 +128,7 @@ func RunPlayer(cfg PlayerConfig, duration time.Duration) (PlayerReport, error) {
 		GameID: int32(cfg.GameID),
 		ViewX:  5000, ViewY: 5000, ViewR: cfg.ViewRadius,
 		LevelCap: uint8(g.StartLevel),
-		Ticket:   cfg.Ticket,
+		Ticket:   p.opts.Ticket,
 	}
 	addrs := append([]string{cfg.StreamAddr}, cfg.BackupAddrs...)
 	// The join frame is encoded once per ticket: the TCP path writes it as
@@ -293,11 +247,11 @@ func RunPlayer(cfg PlayerConfig, duration time.Duration) (PlayerReport, error) {
 	lastRecv := time.Now()
 	lastKA := time.Now()
 	for time.Now().Before(deadline) {
-		if cfg.Retarget != nil {
+		if retarget != nil {
 			select {
-			case tgt, ok := <-cfg.Retarget:
+			case tgt, ok := <-retarget:
 				if !ok {
-					cfg.Retarget = nil
+					retarget = nil
 					break
 				}
 				// Make-before-break: subscribe to the replacement worker

@@ -13,8 +13,7 @@ import (
 	"cloudfog/internal/world"
 )
 
-// Transport mode names for SupernodeConfig.Transport and
-// PlayerConfig.Transport. TCP is the reliable stream default; UDP streams
+// Transport mode names for Config.Transport. TCP is the reliable stream default; UDP streams
 // segments as datagrams — stale frames are dropped by the network instead
 // of head-of-line blocking behind retransmits (the paper's Eq. 14 dropping
 // policy happening naturally).
@@ -40,71 +39,12 @@ func validTransport(t string) bool {
 	return t == "" || t == TransportTCP || t == TransportUDP
 }
 
-// SupernodeConfig parameterizes a live fog supernode. Validate rejects
-// incomplete configurations instead of papering over them with defaults.
-//
-// Deprecated: new code should build a role-tagged Config (Role:
-// RoleSupernode) and use NewSupernode; SupernodeConfig remains as the
-// internal view the unified config projects onto.
-type SupernodeConfig struct {
-	// ID is the supernode's hello identity at the cloud.
-	ID int64
-	// CloudAddr is the cloud server to subscribe to.
-	CloudAddr string
-	// Addr is the player-facing listen address ("127.0.0.1:0" for an
-	// ephemeral port).
-	Addr string
-	// Transport selects the player-facing stream transport: TransportTCP
-	// (default when empty) or TransportUDP. The cloud link is always TCP.
-	Transport string
-	// DelayToCloud is injected on the supernode's outbound hello/keepalive
-	// path; the cloud injects the update-path delay via its own DelayFor.
-	DelayToCloud time.Duration
-	// FPS is the per-player segment rate.
-	FPS int
-	// HeartbeatEvery, when positive, sends THeartbeat liveness beacons on
-	// the cloud link at this period — the cloud's failure detector times
-	// the gaps between arrivals.
-	HeartbeatEvery time.Duration
-	// DelayFor, when non-nil, returns the one-way delay injected toward a
-	// player's video stream.
-	DelayFor func(playerID int64) time.Duration
-	// Obs, when non-nil, registers the cloud-update link and each player
-	// stream link (cloudfog_link_*{link="sn<ID>_to_p<player>"}).
-	Obs *obs.Registry
-	// JoinGate, when non-nil, vets every join — the initial subscription
-	// and every datagram keepalive re-join — and returns an Ack code:
-	// proto.AckOK admits, anything else refuses the join and the code is
-	// reported to the player. known is true when the player already has a
-	// live stream here (a lease-enforcing worker in partition safe mode
-	// keeps serving known players but refuses new placements).
-	JoinGate func(join proto.JoinStream, known bool) uint32
-}
-
-// Validate reports configuration errors.
-func (c SupernodeConfig) Validate() error {
-	switch {
-	case c.CloudAddr == "":
-		return fmt.Errorf("live: SupernodeConfig.CloudAddr is empty")
-	case c.Addr == "":
-		return fmt.Errorf("live: SupernodeConfig.Addr is empty (use \"127.0.0.1:0\" for an ephemeral port)")
-	case c.DelayToCloud < 0:
-		return fmt.Errorf("live: SupernodeConfig.DelayToCloud %v is negative", c.DelayToCloud)
-	case c.FPS <= 0:
-		return fmt.Errorf("live: SupernodeConfig.FPS %d is not positive", c.FPS)
-	case c.HeartbeatEvery < 0:
-		return fmt.Errorf("live: SupernodeConfig.HeartbeatEvery %v is negative", c.HeartbeatEvery)
-	case !validTransport(c.Transport):
-		return fmt.Errorf("live: SupernodeConfig.Transport %q is not %q or %q", c.Transport, TransportTCP, TransportUDP)
-	}
-	return nil
-}
-
 // Supernode is a live fog node: it subscribes to the cloud's update stream,
 // maintains a replica of the virtual world, and streams rendered video
 // segments to its players at the frame rate.
 type Supernode struct {
-	cfg SupernodeConfig
+	cfg  Config
+	opts Options
 
 	cloudLink *Link
 	ln        net.Listener // TCP player transport (nil in UDP mode)
@@ -168,14 +108,15 @@ type playerStream struct {
 	lastSeen time.Time
 }
 
-// StartSupernode launches the supernode described by cfg: it dials the
-// cloud and serves players on cfg.Addr.
-//
-// Deprecated: prefer NewSupernode(Config{Role: RoleSupernode, ...}, opts...).
-func StartSupernode(cfg SupernodeConfig) (*Supernode, error) {
-	if err := cfg.Validate(); err != nil {
+// NewSupernode starts the supernode described by a RoleSupernode config: it
+// dials the cloud and serves players on cfg.Addr over cfg.Transport. (A
+// config with CoordAddr set describes a coordinator-registered worker; start
+// it through coord.StartWorker, which calls back into this constructor.)
+func NewSupernode(cfg Config, opts ...Option) (*Supernode, error) {
+	if err := cfg.validateFor(RoleSupernode, "NewSupernode"); err != nil {
 		return nil, err
 	}
+	o := BuildOptions(opts...)
 	ctx, cancel := context.WithTimeout(context.Background(), dialDeadline)
 	conn, err := dialBackoff(ctx, cfg.CloudAddr, cfg.ID)
 	cancel()
@@ -183,8 +124,8 @@ func StartSupernode(cfg SupernodeConfig) (*Supernode, error) {
 		return nil, err
 	}
 	var cloudStats *obs.LinkStats
-	if cfg.Obs != nil {
-		cloudStats = obs.LinkStatsIn(cfg.Obs, fmt.Sprintf("sn%d_to_cloud", cfg.ID))
+	if o.Obs != nil {
+		cloudStats = obs.LinkStatsIn(o.Obs, fmt.Sprintf("sn%d_to_cloud", cfg.ID))
 	}
 	cloudLink := NewLinkObs(conn, cfg.DelayToCloud, cloudStats)
 	if !cloudLink.Send(proto.THello, proto.MarshalHello(proto.Hello{Role: proto.RoleSupernode, ID: cfg.ID})) {
@@ -214,6 +155,7 @@ func StartSupernode(cfg SupernodeConfig) (*Supernode, error) {
 	}
 	sn := &Supernode{
 		cfg:       cfg,
+		opts:      o,
 		cloudLink: cloudLink,
 		ln:        ln,
 		udp:       udp,
@@ -230,31 +172,7 @@ func StartSupernode(cfg SupernodeConfig) (*Supernode, error) {
 		go sn.accept()
 	}
 	go sn.renderLoop()
-	if cfg.HeartbeatEvery > 0 {
-		sn.wg.Add(1)
-		go sn.heartbeatLoop()
-	}
 	return sn, nil
-}
-
-// heartbeatLoop sends periodic liveness beacons on the cloud link. When the
-// supernode dies (or its link is chaos-killed), the beacons stop and the
-// cloud's detector notices the silence.
-func (sn *Supernode) heartbeatLoop() {
-	defer sn.wg.Done()
-	ticker := time.NewTicker(sn.cfg.HeartbeatEvery)
-	defer ticker.Stop()
-	var seq uint64
-	for {
-		select {
-		case <-sn.stop:
-			return
-		case <-ticker.C:
-			seq++
-			sn.cloudLink.Send(proto.THeartbeat,
-				proto.MarshalHeartbeat(proto.Heartbeat{ID: sn.cfg.ID, Seq: seq}))
-		}
-	}
 }
 
 // Addr returns the supernode's player-facing listen address.
@@ -365,7 +283,7 @@ func (sn *Supernode) joinDatagram(raddr *net.UDPAddr, payload []byte) {
 		sn.udp.WriteToUDP(proto.AppendFrame(nil, proto.TAck, proto.MarshalAck(proto.Ack{Code: proto.AckRefused})), raddr)
 		return
 	}
-	if gate := sn.cfg.JoinGate; gate != nil {
+	if gate := sn.opts.JoinGate; gate != nil {
 		if code := gate(join, sn.hasPlayer(join.Player)); code != proto.AckOK {
 			sn.udp.WriteToUDP(proto.AppendFrame(nil, proto.TAck, proto.MarshalAck(proto.Ack{Code: code})), raddr)
 			return
@@ -391,12 +309,12 @@ func (sn *Supernode) joinDatagram(raddr *net.UDPAddr, payload []byte) {
 		replaced = ps.link
 	}
 	var delay time.Duration
-	if sn.cfg.DelayFor != nil {
-		delay = sn.cfg.DelayFor(join.Player)
+	if sn.opts.DelayFor != nil {
+		delay = sn.opts.DelayFor(join.Player)
 	}
 	var stats *obs.LinkStats
-	if sn.cfg.Obs != nil {
-		stats = obs.LinkStatsIn(sn.cfg.Obs, fmt.Sprintf("sn%d_to_p%d", sn.cfg.ID, join.Player))
+	if sn.opts.Obs != nil {
+		stats = obs.LinkStatsIn(sn.opts.Obs, fmt.Sprintf("sn%d_to_p%d", sn.cfg.ID, join.Player))
 	}
 	link := NewDatagramLink(&addrConn{sock: sn.udp, raddr: raddr}, LinkOptions{Delay: delay, Stats: stats})
 	link.Impair(sn.impExtra, sn.impLoss)
@@ -428,7 +346,7 @@ func (sn *Supernode) servePlayer(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	if gate := sn.cfg.JoinGate; gate != nil {
+	if gate := sn.opts.JoinGate; gate != nil {
 		if code := gate(join, sn.hasPlayer(join.Player)); code != proto.AckOK {
 			proto.WriteFrame(conn, proto.TAck, proto.MarshalAck(proto.Ack{Code: code}))
 			conn.Close()
@@ -436,12 +354,12 @@ func (sn *Supernode) servePlayer(conn net.Conn) {
 		}
 	}
 	var delay time.Duration
-	if sn.cfg.DelayFor != nil {
-		delay = sn.cfg.DelayFor(join.Player)
+	if sn.opts.DelayFor != nil {
+		delay = sn.opts.DelayFor(join.Player)
 	}
 	var stats *obs.LinkStats
-	if sn.cfg.Obs != nil {
-		stats = obs.LinkStatsIn(sn.cfg.Obs, fmt.Sprintf("sn%d_to_p%d", sn.cfg.ID, join.Player))
+	if sn.opts.Obs != nil {
+		stats = obs.LinkStatsIn(sn.opts.Obs, fmt.Sprintf("sn%d_to_p%d", sn.cfg.ID, join.Player))
 	}
 	link := NewLinkObs(conn, delay, stats)
 

@@ -323,15 +323,15 @@ func TestPipeTransport(t *testing.T) {
 		t.Fatalf("decode a->b: %+v %v", ack, err)
 	}
 
-	if !b.Send(proto.THeartbeat, proto.MarshalHeartbeat(proto.Heartbeat{ID: 1, Seq: 9})) {
+	if !b.Send(proto.THello, proto.MarshalHello(proto.Hello{Role: proto.RoleSupernode, ID: 9})) {
 		t.Fatal("send b->a failed")
 	}
 	typ, payload, err = a.Recv()
-	if err != nil || typ != proto.THeartbeat {
+	if err != nil || typ != proto.THello {
 		t.Fatalf("recv b->a: %v %v", typ, err)
 	}
-	if hb, err := proto.UnmarshalHeartbeat(payload); err != nil || hb.Seq != 9 {
-		t.Fatalf("decode b->a: %+v %v", hb, err)
+	if h, err := proto.UnmarshalHello(payload); err != nil || h.ID != 9 {
+		t.Fatalf("decode b->a: %+v %v", h, err)
 	}
 }
 
@@ -339,25 +339,25 @@ func TestPipeTransport(t *testing.T) {
 // transport: cloud (always TCP), one UDP supernode, one UDP player. Segments
 // must flow and response latency must still clear the injected path delay.
 func TestEndToEndPipelineUDP(t *testing.T) {
-	cloud, err := StartCloud(CloudConfig{
-		Addr:  "127.0.0.1:0",
-		World: world.DefaultConfig(),
-		Tick:  33 * time.Millisecond,
+	cloud, err := NewCloud(Config{
+		Role: RoleCloud,
+		Addr: "127.0.0.1:0",
+		Tick: 33 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cloud.Close()
 
-	sn, err := StartSupernode(SupernodeConfig{
+	sn, err := NewSupernode(Config{
+		Role:         RoleSupernode,
 		ID:           1_000_000,
 		CloudAddr:    cloud.Addr(),
 		Addr:         "127.0.0.1:0",
 		DelayToCloud: 2 * time.Millisecond,
 		FPS:          30,
 		Transport:    TransportUDP,
-		DelayFor:     func(int64) time.Duration { return 4 * time.Millisecond },
-	})
+	}, WithDelayFor(func(int64) time.Duration { return 4 * time.Millisecond }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,8 @@ func TestEndToEndPipelineUDP(t *testing.T) {
 		}
 	})
 
-	report, err := RunPlayer(PlayerConfig{
+	report, err := runPlayer(Config{
+		Role:        RolePlayer,
 		ID:          1,
 		GameID:      4,
 		CloudAddr:   cloud.Addr(),

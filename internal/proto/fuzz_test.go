@@ -108,8 +108,6 @@ func FuzzAppendMatchesMarshal(f *testing.F) {
 
 		check("hello", AppendHello(pfx(), Hello{Role: Role(level), ID: player}),
 			MarshalHello(Hello{Role: Role(level), ID: player}))
-		check("heartbeat", AppendHeartbeat(pfx(), Heartbeat{ID: player, Seq: uint64(seq)}),
-			MarshalHeartbeat(Heartbeat{ID: player, Seq: uint64(seq)}))
 		check("ack", AppendAck(pfx(), Ack{Code: uint32(seq)}), MarshalAck(Ack{Code: uint32(seq)}))
 
 		// Encode-in-place framing must agree with the one-shot AppendFrame.
