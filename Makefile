@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race loc bench bench-json bench-all chaos wire coord coord-drain replay record-corpus verify
+.PHONY: build test vet race loc perfbench bench bench-json bench-all chaos wire coord coord-drain replay record-corpus verify
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,11 @@ race:
 loc:
 	@printf 'production %s\n' "$$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l)"
 	@printf 'test       %s\n' "$$(git ls-files '*_test.go' | grep -v '^perfbench/' | xargs cat | wc -l)"
+
+# perfbench vets and tests the separate benchmark-of-record module, which
+# `go build ./...` at the root skips: an API it calls cannot vanish unseen.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # bench runs the headline benchmarks (engine, QoE node with and without
 # observability, Fig 9-11 sweeps) and writes them machine-readably so perf
@@ -118,7 +123,7 @@ coord-drain:
 	$(GO) run ./cmd/cloudfog-live demo -drain -lease 1s \
 		-workers 3 -players 6 -duration 4s -report coord_drain_report.json
 
-# verify is the CI gate: static checks, the race-enabled suite, the chaos
-# smoke, the wire smoke, the coordinator smokes (kill and drain), and the
-# flight-recorder replay gate.
-verify: vet race chaos wire coord coord-drain replay
+# verify is the CI gate: static checks, the race-enabled suite, the
+# perfbench module's vet and tests, the chaos smoke, the wire smoke, the
+# coordinator smokes (kill and drain), and the flight-recorder replay gate.
+verify: vet race perfbench chaos wire coord coord-drain replay

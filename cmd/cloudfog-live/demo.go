@@ -74,7 +74,7 @@ func parseDemoFlags(args []string) (demoFlags, error) {
 	fs.IntVar(&f.players, "players", 6, "player count")
 	fs.DurationVar(&f.duration, "duration", 4*time.Second, "player session length")
 	fs.Int64Var(&f.seed, "seed", 7, "latency landscape (and default chaos profile) seed")
-	fs.StringVar(&f.transport, "transport", live.TransportTCP, "stream transport of the coordinator and workers: tcp (reliable, coalesced writes) or udp (datagrams, stale frames dropped)")
+	fs.StringVar(&f.transport, "transport", live.TransportTCP, "workers' video stream transport: tcp (reliable, coalesced writes) or udp (datagrams, stale frames dropped); control links are always tcp")
 	fs.DurationVar(&f.lease, "lease", 0, "ticket lease TTL (0 disables leases)")
 	fs.BoolVar(&f.drain, "drain", false, "SIGTERM-drain the victim worker instead of killing it — fails on any stream interruption")
 	fs.DurationVar(&f.drainTimeout, "drain-timeout", 0, "worker drain deadline (0 = default)")
@@ -304,7 +304,7 @@ func runDemo(args []string) error {
 
 	c, err := coord.StartCoordinator(live.Config{
 		Role: live.RoleCoordinator, Addr: "127.0.0.1:0",
-		CloudAddr: cloud.Addr(), TicketKey: demoTicketKey, Transport: f.transport,
+		CloudAddr: cloud.Addr(), TicketKey: demoTicketKey,
 		Detector: health.DetectorConfig{Mode: health.ModePhi, Interval: demoInterval},
 		LeaseTTL: f.lease,
 	}, opts...)
@@ -312,7 +312,7 @@ func runDemo(args []string) error {
 		return err
 	}
 	defer c.Close()
-	fmt.Printf("coordinator on %s (detector bound %v, lease %v, transport %s)\n",
+	fmt.Printf("coordinator on %s (detector bound %v, lease %v, worker streams over %s)\n",
 		c.Addr(), c.Bound(), f.lease, f.transport)
 
 	fl := &fleet{

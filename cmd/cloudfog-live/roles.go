@@ -31,7 +31,8 @@ the serving worker and its backup ring. Worker deaths are detected by the
 detector over report gaps and stranded sessions are re-placed. On
 SIGINT/SIGTERM it writes the session-ledger reconciliation to -report.
 Config fields: addr, cloud_addr (cloud-direct fallback tickets),
-ticket_key, detector, lease_ttl, shortlist_k, backups, overload, transport.`,
+ticket_key, detector, lease_ttl, shortlist_k, backups, overload. Worker
+control always rides TCP, whatever transport the workers stream over.`,
 	live.RoleSupernode: `cloudfog-live supernode -config <json>
 
 Runs a fog supernode: subscribes to the cloud's update stream and serves

@@ -7,6 +7,7 @@ import (
 
 	"cloudfog/internal/fault"
 	"cloudfog/internal/health"
+	"cloudfog/internal/obs"
 	"cloudfog/internal/proto"
 )
 
@@ -60,6 +61,7 @@ func testPlacer(t *testing.T, cloudAddr string) *Placer {
 		TicketKey: []byte("k"),
 		CloudAddr: cloudAddr,
 		Backups:   2,
+		Stats:     obs.NewCoordStats(),
 	})
 	if err != nil {
 		t.Fatalf("NewPlacer: %v", err)
@@ -336,9 +338,11 @@ func TestTicketNeverPointsAtDeadWorker(t *testing.T) {
 				t.Fatalf("after %s at %v: session %d ticketed to dead worker %d", ev, at, id, w)
 			}
 		}
-		if l := p.Ledger(); !l.Balanced() {
+		l := p.Ledger()
+		if !l.Balanced() {
 			t.Fatalf("after %s at %v: ledger unbalanced: %+v", ev, at, l)
 		}
+		checkMirror(t, l, p.cfg.Stats)
 	}
 
 	next := int64(2000)
@@ -372,5 +376,35 @@ func TestTicketNeverPointsAtDeadWorker(t *testing.T) {
 	l := p.Ledger()
 	if l.WorkersLost == 0 || l.WorkersReturned == 0 || l.Replacements == 0 {
 		t.Fatalf("storm exercised nothing: %+v", l)
+	}
+}
+
+// checkMirror requires every ledger count that has a metric to equal its
+// obs.CoordStats counterpart.
+func checkMirror(t *testing.T, l Ledger, st *obs.CoordStats) {
+	t.Helper()
+	for _, c := range []struct {
+		name string
+		led  uint64
+		obs  *obs.Counter
+	}{
+		{"Placements", l.Placements, st.Placements},
+		{"Replacements", l.Replacements, st.Replacements},
+		{"Renewals/LeaseRenewed", l.Renewals, st.LeaseRenewed},
+		{"Rejected", l.Rejected, st.Rejected},
+		{"Departed", l.Departed, st.Departed},
+		{"Expired/LeaseExpired", l.Expired, st.LeaseExpired},
+		{"DrainWorkers", l.DrainWorkers, st.DrainWorkers},
+		{"DrainSessions", l.DrainSessions, st.DrainSessions},
+		{"DrainStranded", l.DrainStranded, st.DrainStranded},
+		{"Rebases", l.Rebases, st.Rebases},
+		{"Reconciled", l.Reconciled, st.Reconciled},
+		{"WorkersRegistered", l.WorkersRegistered, st.WorkersRegistered},
+		{"WorkersLost", l.WorkersLost, st.WorkersLost},
+		{"WorkersReturned", l.WorkersReturned, st.WorkersReturned},
+	} {
+		if got := uint64(c.obs.Load()); got != c.led {
+			t.Fatalf("ledger %s = %d, obs mirror = %d", c.name, c.led, got)
+		}
 	}
 }

@@ -14,15 +14,14 @@ import (
 )
 
 // Coordinator is the control-plane server: it accepts worker registrations
-// and reports (TCP frames, or datagrams when configured for UDP transport),
-// answers player placement requests with signed tickets, and pushes
-// replacement tickets to affected players when a worker dies.
+// and reports over one TCP link per worker, answers player placement
+// requests with signed tickets, and pushes replacement tickets to affected
+// players when a worker dies.
 type Coordinator struct {
 	cfg   live.Config
 	stats *obs.CoordStats
 
 	ln    net.Listener
-	udp   *net.UDPConn
 	start time.Time
 
 	mu      sync.Mutex
@@ -36,10 +35,8 @@ type Coordinator struct {
 }
 
 // StartCoordinator launches the coordinator described by cfg (Role must be
-// RoleCoordinator). With Transport TCP workers and players share the stream
-// listener; with Transport UDP a datagram socket on the same port also
-// accepts worker registrations and reports (placement stays on TCP — a lost
-// ticket would strand a player).
+// RoleCoordinator). Workers and players share one TCP listener whatever
+// transport the workers stream video over; cfg.Transport is not read.
 func StartCoordinator(cfg live.Config, opts ...live.Option) (*Coordinator, error) {
 	if cfg.Role != live.RoleCoordinator {
 		return nil, fmt.Errorf("coord: StartCoordinator on Config.Role %q", cfg.Role)
@@ -80,17 +77,6 @@ func StartCoordinator(cfg live.Config, opts ...live.Option) (*Coordinator, error
 		players: make(map[int64]live.Transport),
 		conns:   make(map[net.Conn]struct{}),
 		stop:    make(chan struct{}),
-	}
-	if cfg.Transport == live.TransportUDP {
-		port := ln.Addr().(*net.TCPAddr).Port
-		udp, err := net.ListenUDP("udp", &net.UDPAddr{IP: ln.Addr().(*net.TCPAddr).IP, Port: port})
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		c.udp = udp
-		c.wg.Add(1)
-		go c.udpLoop()
 	}
 	c.wg.Add(2)
 	go c.acceptLoop()
@@ -137,6 +123,7 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 	link := live.NewLinkOpts(conn, live.LinkOptions{})
 	defer link.Close()
 	var player int64
+recv:
 	for {
 		typ, payload, err := link.Recv()
 		if err != nil {
@@ -162,8 +149,14 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 				continue
 			}
 			c.mu.Lock()
-			c.placer.Report(c.now(), r)
+			ok := c.placer.Report(c.now(), r)
 			c.mu.Unlock()
+			if !ok {
+				// Unknown or buried worker: closing the link makes its
+				// report loop reconnect and re-register, which counts it
+				// returned and reconciles its sessions.
+				break recv
+			}
 			c.pushSync(link)
 		case proto.TTicket:
 			// A TTicket frame arriving player→coordinator is a lease
@@ -260,49 +253,6 @@ func (c *Coordinator) deliver(began time.Time, reps []Replacement) {
 	}
 }
 
-// udpLoop demultiplexes worker control datagrams (register/report) off the
-// shared UDP socket.
-func (c *Coordinator) udpLoop() {
-	defer c.wg.Done()
-	buf := make([]byte, proto.MaxDatagram)
-	var sync []byte
-	for {
-		n, raddr, err := c.udp.ReadFromUDP(buf)
-		if err != nil {
-			return
-		}
-		typ, payload, err := proto.ParseDatagram(buf[:n])
-		if err != nil {
-			continue
-		}
-		handled := false
-		switch typ {
-		case proto.TRegister:
-			if r, err := proto.UnmarshalRegister(payload); err == nil {
-				c.mu.Lock()
-				_, reps := c.placer.Register(c.now(), r)
-				c.mu.Unlock()
-				c.deliver(time.Now(), reps)
-				handled = true
-			}
-		case proto.TReport:
-			if r, err := proto.UnmarshalReport(payload); err == nil {
-				c.mu.Lock()
-				c.placer.Report(c.now(), r)
-				c.mu.Unlock()
-				handled = true
-			}
-		}
-		if handled {
-			// Beacon the clock back to the datagram's source so UDP workers
-			// feed their partition detectors too.
-			sync = proto.AppendFrame(sync[:0], proto.TSync,
-				proto.MarshalSync(proto.Sync{Now: int64(c.now()), LeaseTTL: int64(c.cfg.LeaseTTL)}))
-			c.udp.WriteToUDP(sync, raddr)
-		}
-	}
-}
-
 // sweepLoop evaluates the failure detectors every CheckEvery and pushes
 // replacement tickets to the players a dead worker stranded. It also watches
 // its own cadence: a tick arriving far later than scheduled means the
@@ -378,8 +328,8 @@ func (c *Coordinator) WriteReport(w io.Writer) error {
 	return enc.Encode(Report{Ledger: l, Balanced: l.Balanced(), BoundNs: int64(c.placer.Bound())})
 }
 
-// Close stops the server: listener, datagram socket, and every live worker
-// and player control connection. Safe to call twice.
+// Close stops the server: listener and every live worker and player control
+// connection. Safe to call twice.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -394,9 +344,6 @@ func (c *Coordinator) Close() {
 	c.mu.Unlock()
 	close(c.stop)
 	c.ln.Close()
-	if c.udp != nil {
-		c.udp.Close()
-	}
 	// Unblock every serveConn goroutine parked in Recv.
 	for _, conn := range conns {
 		conn.Close()

@@ -47,7 +47,8 @@ type PlacerConfig struct {
 	// Sweep retires sessions whose lease has lapsed a full TTL past expiry
 	// without renewal. Zero disables leases.
 	LeaseTTL time.Duration
-	// Stats, when non-nil, mirrors the placer's ledger into metrics.
+	// Stats mirrors the placer's ledger into metrics (nil means a standalone
+	// obs.NewCoordStats bundle).
 	Stats *obs.CoordStats
 }
 
@@ -113,7 +114,6 @@ type workerState struct {
 	alive    bool
 	load     int
 	capacity int
-	lastSeq  uint64
 	// level is the worker's self-reported overload-ladder state; draining
 	// marks a worker that asked for a full handoff (SIGTERM). drainCounted
 	// dedupes the per-episode DrainWorkers counter.
@@ -162,21 +162,10 @@ type Placer struct {
 	// drainScratch orders a distressed worker's sessions newest-first.
 	drainScratch []drainCandidate
 
-	placements    uint64
-	replacements  uint64
-	renewals      uint64
-	ticketsIssued uint64
-	rejected      uint64
-	departed      uint64
-	expired       uint64
-	drainWorkers  uint64
-	drainSessions uint64
-	drainStranded uint64
-	rebases       uint64
-	reconciled    uint64
-	wRegistered   uint64
-	wLost         uint64
-	wReturned     uint64
+	// led holds the ledger's counts; Ledger fills in the live-session split
+	// and WorkersAlive at snapshot time. cfg.Stats mirrors every count that
+	// has a metric (see count).
+	led Ledger
 }
 
 type drainCandidate struct {
@@ -201,6 +190,9 @@ func NewPlacer(cfg PlacerConfig) (*Placer, error) {
 	if cfg.Backups == 0 {
 		cfg.Backups = DefaultBackups
 	}
+	if cfg.Stats == nil {
+		cfg.Stats = obs.NewCoordStats()
+	}
 	ladder, err := health.NewOverload(cfg.Overload, nil, nil)
 	if err != nil {
 		return nil, err
@@ -217,6 +209,12 @@ func NewPlacer(cfg PlacerConfig) (*Placer, error) {
 		workers:  make(map[int64]*workerState),
 		sessions: make(map[int64]*sessionState),
 	}, nil
+}
+
+// count advances one ledger count together with its metric mirror.
+func count(n *uint64, c *obs.Counter) {
+	*n++
+	c.Inc()
 }
 
 // Bound returns the provable worker-death detection latency: no session
@@ -236,22 +234,15 @@ func (p *Placer) Register(now time.Duration, r proto.Register) (returned bool, r
 	if w == nil {
 		w = &workerState{det: health.NewDetector(p.cfg.Detector)}
 		p.workers[r.Worker] = w
-		p.wRegistered++
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.WorkersRegistered.Inc()
-		}
+		count(&p.led.WorkersRegistered, p.cfg.Stats.WorkersRegistered)
 	} else if !w.alive {
 		returned = true
-		p.wReturned++
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.WorkersReturned.Inc()
-		}
+		count(&p.led.WorkersReturned, p.cfg.Stats.WorkersReturned)
 	}
 	w.reg = r
 	w.alive = true
 	w.load = int(r.Load)
 	w.capacity = int(r.Capacity)
-	w.lastSeq = 0
 	w.level = health.StateNormal
 	w.draining = false
 	w.drainCounted = false
@@ -284,45 +275,24 @@ func (p *Placer) reconcile(now time.Duration, worker int64, live []int64) []Repl
 		}
 		// The register's load already excludes dropped sessions, so no
 		// detach here — only the new attachment is counted.
-		wid, ok := p.choose(s.place.X, s.place.Y)
-		if !ok {
-			delete(p.sessions, player)
-			p.departed++
-			if p.cfg.Stats != nil {
-				p.cfg.Stats.Departed.Inc()
-			}
-			out = append(out, Replacement{Player: player, Dropped: true})
-			continue
+		r := p.rehome(now, player, s)
+		if !r.Dropped {
+			count(&p.led.Reconciled, p.cfg.Stats.Reconciled)
 		}
-		s.worker = wid
-		s.replaced = true
-		p.attachSeq++
-		s.attachSeq = p.attachSeq
-		p.attach(wid)
-		p.replacements++
-		p.reconciled++
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.Replacements.Inc()
-			p.cfg.Stats.Reconciled.Inc()
-		}
-		out = append(out, Replacement{Player: player, Ticket: p.issue(now, player, s)})
+		out = append(out, r)
 	}
 	return out
 }
 
 // Report consumes a worker's periodic occupancy beacon: the arrival gap
 // feeds the failure detector, the load ratio moves the admission ladder.
-// Reports from unknown or dead workers — and stale out-of-order datagrams —
-// are dropped (a dead worker must re-register to rejoin the pool).
+// Reports from unknown or dead workers are refused (ok=false): a dead worker
+// must re-register to rejoin the pool.
 func (p *Placer) Report(now time.Duration, r proto.Report) bool {
 	w := p.workers[r.Worker]
 	if w == nil || !w.alive {
 		return false
 	}
-	if r.Seq != 0 && r.Seq <= w.lastSeq {
-		return false
-	}
-	w.lastSeq = r.Seq
 	w.det.Heartbeat(now)
 	w.load = int(r.Load)
 	if r.Capacity > 0 {
@@ -334,9 +304,7 @@ func (p *Placer) Report(now time.Duration, r proto.Report) bool {
 		w.drainCounted = false
 	}
 	p.ladder.Observe(r.Worker, w.load, w.capacity)
-	if p.cfg.Stats != nil {
-		p.cfg.Stats.ReportsReceived.Inc()
-	}
+	p.cfg.Stats.ReportsReceived.Inc()
 	return true
 }
 
@@ -348,27 +316,18 @@ func (p *Placer) Report(now time.Duration, r proto.Report) bool {
 // as a renewal so the ticket identity stays balanced).
 func (p *Placer) Place(now time.Duration, req proto.Place) (proto.Ticket, bool) {
 	if s := p.sessions[req.Player]; s != nil {
-		p.renewals++
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.LeaseRenewed.Inc()
-		}
+		count(&p.led.Renewals, p.cfg.Stats.LeaseRenewed)
 		return p.issue(now, req.Player, s), true
 	}
 	wid, ok := p.choose(req.X, req.Y)
 	if !ok {
-		p.rejected++
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.Rejected.Inc()
-		}
+		count(&p.led.Rejected, p.cfg.Stats.Rejected)
 		return proto.Ticket{}, false
 	}
 	p.attachSeq++
 	s := &sessionState{place: req, worker: wid, attachSeq: p.attachSeq}
 	p.sessions[req.Player] = s
-	p.placements++
-	if p.cfg.Stats != nil {
-		p.cfg.Stats.Placements.Inc()
-	}
+	count(&p.led.Placements, p.cfg.Stats.Placements)
 	p.attach(wid)
 	return p.issue(now, req.Player, s), true
 }
@@ -383,10 +342,7 @@ func (p *Placer) Renew(now time.Duration, player int64) (proto.Ticket, bool) {
 	if s == nil {
 		return proto.Ticket{}, false
 	}
-	p.renewals++
-	if p.cfg.Stats != nil {
-		p.cfg.Stats.LeaseRenewed.Inc()
-	}
+	count(&p.led.Renewals, p.cfg.Stats.LeaseRenewed)
 	return p.issue(now, player, s), true
 }
 
@@ -433,7 +389,7 @@ func (p *Placer) detach(wid int64) {
 func (p *Placer) issue(now time.Duration, player int64, s *sessionState) proto.Ticket {
 	p.epoch++
 	s.epoch = p.epoch
-	p.ticketsIssued++
+	p.led.TicketsIssued++
 	t := proto.Ticket{
 		Player: player,
 		Worker: s.worker,
@@ -443,9 +399,7 @@ func (p *Placer) issue(now time.Duration, player int64, s *sessionState) proto.T
 	if p.cfg.LeaseTTL > 0 {
 		s.expiry = now + p.cfg.LeaseTTL
 		t.Expiry = int64(s.expiry)
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.LeaseIssued.Inc()
-		}
+		p.cfg.Stats.LeaseIssued.Inc()
 	}
 	if w := p.workers[s.worker]; s.worker != 0 && w != nil {
 		t.Transport = w.reg.Transport
@@ -485,12 +439,8 @@ func (p *Placer) Depart(player int64) bool {
 	if s == nil {
 		return false
 	}
-	delete(p.sessions, player)
 	p.detach(s.worker)
-	p.departed++
-	if p.cfg.Stats != nil {
-		p.cfg.Stats.Departed.Inc()
-	}
+	p.drop(player)
 	return true
 }
 
@@ -523,10 +473,7 @@ func (p *Placer) Sweep(now time.Duration) []Replacement {
 			if s.expiry > 0 && now >= s.expiry+p.cfg.LeaseTTL {
 				delete(p.sessions, player)
 				p.detach(s.worker)
-				p.expired++
-				if p.cfg.Stats != nil {
-					p.cfg.Stats.LeaseExpired.Inc()
-				}
+				count(&p.led.Expired, p.cfg.Stats.LeaseExpired)
 				out = append(out, Replacement{Player: player, Expired: true})
 			}
 		}
@@ -575,10 +522,7 @@ func (p *Placer) drainWorker(now time.Duration, worker int64, w *workerState) []
 	}
 	if !w.drainCounted {
 		w.drainCounted = true
-		p.drainWorkers++
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.DrainWorkers.Inc()
-		}
+		count(&p.led.DrainWorkers, p.cfg.Stats.DrainWorkers)
 	}
 	var out []Replacement
 	for _, c := range p.drainScratch {
@@ -590,26 +534,13 @@ func (p *Placer) drainWorker(now time.Duration, worker int64, w *workerState) []
 			if w.draining && p.cfg.CloudAddr != "" {
 				nid = 0 // cloud-direct absorbs a full drain
 			} else {
-				p.drainStranded++
-				if p.cfg.Stats != nil {
-					p.cfg.Stats.DrainStranded.Inc()
-				}
+				count(&p.led.DrainStranded, p.cfg.Stats.DrainStranded)
 				continue
 			}
 		}
 		p.detach(worker)
-		c.s.worker = nid
-		c.s.replaced = true
-		p.attachSeq++
-		c.s.attachSeq = p.attachSeq
-		p.attach(nid)
-		p.replacements++
-		p.drainSessions++
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.Replacements.Inc()
-			p.cfg.Stats.DrainSessions.Inc()
-		}
-		out = append(out, Replacement{Player: c.player, Ticket: p.issue(now, c.player, c.s)})
+		out = append(out, p.replace(now, c.player, c.s, nid))
+		count(&p.led.DrainSessions, p.cfg.Stats.DrainSessions)
 	}
 	return out
 }
@@ -653,10 +584,7 @@ func (p *Placer) Rebase(now time.Duration) {
 			}
 		}
 	}
-	p.rebases++
-	if p.cfg.Stats != nil {
-		p.cfg.Stats.Rebases.Inc()
-	}
+	count(&p.led.Rebases, p.cfg.Stats.Rebases)
 }
 
 // bury marks a worker dead and re-places every session it was serving.
@@ -664,38 +592,45 @@ func (p *Placer) bury(now time.Duration, worker int64, w *workerState) []Replace
 	w.alive = false
 	p.grid.Remove(worker)
 	p.ladder.Forget(worker)
-	p.wLost++
-	if p.cfg.Stats != nil {
-		p.cfg.Stats.WorkersLost.Inc()
-	}
+	count(&p.led.WorkersLost, p.cfg.Stats.WorkersLost)
 	var out []Replacement
 	for player, s := range p.sessions {
-		if s.worker != worker {
-			continue
+		if s.worker == worker {
+			out = append(out, p.rehome(now, player, s))
 		}
-		wid, ok := p.choose(s.place.X, s.place.Y)
-		if !ok {
-			// Nowhere to go: forced departure keeps the ledger balanced.
-			delete(p.sessions, player)
-			p.departed++
-			if p.cfg.Stats != nil {
-				p.cfg.Stats.Departed.Inc()
-			}
-			out = append(out, Replacement{Player: player, Dropped: true})
-			continue
-		}
-		s.worker = wid
-		s.replaced = true
-		p.attachSeq++
-		s.attachSeq = p.attachSeq
-		p.attach(wid)
-		p.replacements++
-		if p.cfg.Stats != nil {
-			p.cfg.Stats.Replacements.Inc()
-		}
-		out = append(out, Replacement{Player: player, Ticket: p.issue(now, player, s)})
 	}
 	return out
+}
+
+// rehome re-places a session whose worker is gone or no longer serves it:
+// onto the placement policy's choice, or — with nowhere to go — a forced
+// departure that keeps the ledger balanced.
+func (p *Placer) rehome(now time.Duration, player int64, s *sessionState) Replacement {
+	wid, ok := p.choose(s.place.X, s.place.Y)
+	if !ok {
+		return p.drop(player)
+	}
+	return p.replace(now, player, s, wid)
+}
+
+// replace moves a session onto worker wid (zero: cloud-direct), counts the
+// attachment and the re-issue, and returns the fresh ticket to push. The
+// caller detaches the old worker if it still counts the session.
+func (p *Placer) replace(now time.Duration, player int64, s *sessionState, wid int64) Replacement {
+	s.worker = wid
+	s.replaced = true
+	p.attachSeq++
+	s.attachSeq = p.attachSeq
+	p.attach(wid)
+	count(&p.led.Replacements, p.cfg.Stats.Replacements)
+	return Replacement{Player: player, Ticket: p.issue(now, player, s)}
+}
+
+// drop retires a session from the ledger as departed.
+func (p *Placer) drop(player int64) Replacement {
+	delete(p.sessions, player)
+	count(&p.led.Departed, p.cfg.Stats.Departed)
+	return Replacement{Player: player, Dropped: true}
 }
 
 // WorkerAlive reports whether the worker is currently registered and not
@@ -728,24 +663,8 @@ func (p *Placer) SessionWorker(player int64) (int64, bool) {
 
 // Ledger snapshots the session accounting.
 func (p *Placer) Ledger() Ledger {
-	l := Ledger{
-		Placements:        p.placements,
-		Replacements:      p.replacements,
-		Renewals:          p.renewals,
-		TicketsIssued:     p.ticketsIssued,
-		Rejected:          p.rejected,
-		Departed:          p.departed,
-		Expired:           p.expired,
-		DrainWorkers:      p.drainWorkers,
-		DrainSessions:     p.drainSessions,
-		DrainStranded:     p.drainStranded,
-		Rebases:           p.rebases,
-		Reconciled:        p.reconciled,
-		WorkersAlive:      p.WorkersAlive(),
-		WorkersRegistered: p.wRegistered,
-		WorkersLost:       p.wLost,
-		WorkersReturned:   p.wReturned,
-	}
+	l := p.led
+	l.WorkersAlive = p.WorkersAlive()
 	for _, s := range p.sessions {
 		if s.replaced {
 			l.ActiveReplaced++

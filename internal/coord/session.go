@@ -46,9 +46,7 @@ func OpenSession(ctx context.Context, cfg live.Config, opts ...live.Option) (*Se
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	dialCfg := cfg
-	dialCfg.Transport = live.TransportTCP
-	link, err := live.Dial(ctx, live.RoleCoordinator, dialCfg, opts...)
+	link, err := live.DialLink(ctx, cfg.CoordAddr, cfg.ID, controlLinkOptions(cfg.ID, opts))
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"cloudfog/internal/health"
 	"cloudfog/internal/live"
+	"cloudfog/internal/obs"
 	"cloudfog/internal/proto"
 )
 
@@ -15,7 +16,9 @@ import (
 // the control loop that registers it and streams capacity/occupancy reports
 // whose arrival gaps drive the coordinator's failure detector.
 //
-// The worker watches back: every report is answered by a TSync beacon, and a
+// The worker watches back: every accepted report is answered by a TSync
+// beacon (a refused one — the coordinator buried this worker — closes the
+// control link, and the report loop reconnects and re-registers), and a
 // phi detector on coordinator silence drops the worker into safe mode — keep
 // serving every existing session, refuse new placements (AckSafeMode), and
 // trust worker-side lease expiry rather than coordinator churn — until the
@@ -25,7 +28,6 @@ type Worker struct {
 	sn   *live.Supernode
 	cfg  live.Config
 	opts []live.Option
-	occ  func() int
 
 	start time.Time
 
@@ -64,7 +66,6 @@ func StartWorker(cfg live.Config, opts ...live.Option) (*Worker, error) {
 	w := &Worker{
 		cfg:      cfg,
 		opts:     opts,
-		occ:      live.BuildOptions(opts...).Occupancy,
 		start:    time.Now(),
 		ladder:   ladder,
 		coordDet: health.NewDetector(cfg.Detector),
@@ -78,9 +79,6 @@ func StartWorker(cfg live.Config, opts ...live.Option) (*Worker, error) {
 		return nil, err
 	}
 	w.sn = sn
-	if w.occ == nil {
-		w.occ = sn.SessionCount
-	}
 	w.coordDet.Reset(w.lnow())
 	link, err := w.connect()
 	if err != nil {
@@ -112,19 +110,20 @@ func (w *Worker) dialCtx() (context.Context, context.CancelFunc) {
 	return ctx, cancel
 }
 
-// connect dials the coordinator and registers the worker's current state,
+// connect dials the coordinator's TCP control endpoint — whatever transport
+// the worker streams video over — and registers the worker's current state,
 // including the live-session list the coordinator reconciles against.
 func (w *Worker) connect() (live.Transport, error) {
 	ctx, cancel := w.dialCtx()
 	defer cancel()
-	link, err := live.Dial(ctx, live.RoleCoordinator, w.cfg, w.opts...)
+	link, err := live.DialLink(ctx, w.cfg.CoordAddr, w.cfg.ID, controlLinkOptions(w.cfg.ID, w.opts))
 	if err != nil {
 		return nil, err
 	}
 	reg := proto.Register{
 		Worker:    w.cfg.ID,
 		Capacity:  int32(w.cfg.Capacity),
-		Load:      int32(w.occ()),
+		Load:      int32(w.sn.SessionCount()),
 		X:         w.cfg.X,
 		Y:         w.cfg.Y,
 		Transport: streamCode(w.cfg.Transport),
@@ -180,7 +179,8 @@ func (w *Worker) recvLoop(link live.Transport) {
 }
 
 // reportLoop streams occupancy reports; a dead link triggers reconnection
-// (with registration), so a restarted coordinator re-learns the worker.
+// (with registration), so a restarted coordinator re-learns the worker and a
+// coordinator that buried it while it was still alive takes it back.
 func (w *Worker) reportLoop() {
 	defer w.wg.Done()
 	ticker := time.NewTicker(w.cfg.ReportEvery)
@@ -214,7 +214,7 @@ func (w *Worker) reportLoop() {
 // reportMsg snapshots the worker's beacon: occupancy, the local overload
 // ladder's verdict on it, and the drain flag.
 func (w *Worker) reportMsg(seq uint64) proto.Report {
-	load := w.occ()
+	load := w.sn.SessionCount()
 	w.mu.Lock()
 	w.ladder.Observe(w.cfg.ID, load, w.cfg.Capacity)
 	level := w.ladder.State(w.cfg.ID)
@@ -315,9 +315,8 @@ func (w *Worker) Draining() bool {
 
 // Drain asks the coordinator to move every session off this worker, waits up
 // to DrainTimeout for the handoffs to complete, then shuts down. The drain
-// intent is announced immediately (an out-of-band Seq-0 report, which the
-// placer accepts regardless of report ordering) and re-announced by every
-// periodic report until the worker exits. Returns true when the supernode
+// intent is announced immediately (an out-of-band report) and
+// re-announced by every periodic report until the worker exits. Returns true when the supernode
 // emptied before the deadline — a zero-interruption handoff.
 func (w *Worker) Drain() bool {
 	w.mu.Lock()
@@ -378,6 +377,20 @@ func (w *Worker) Close() {
 	}
 	w.wg.Wait()
 	w.sn.Close()
+}
+
+// controlLinkOptions is a coordinator control link's injected delay and
+// metrics, keyed by the dialing worker's or player's ID.
+func controlLinkOptions(id int64, opts []live.Option) live.LinkOptions {
+	o := live.BuildOptions(opts...)
+	var lo live.LinkOptions
+	if o.DelayFor != nil {
+		lo.Delay = o.DelayFor(id)
+	}
+	if o.Obs != nil {
+		lo.Stats = obs.LinkStatsIn(o.Obs, fmt.Sprintf("%s%d_dial", live.RoleCoordinator, id))
+	}
+	return lo
 }
 
 // streamCode maps the live transport name onto the wire code tickets carry.

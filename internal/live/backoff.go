@@ -18,6 +18,22 @@ const (
 	dialDeadline = 10 * time.Second
 )
 
+// DialLink dials addr over TCP with capped backoff and wraps the connection
+// in a coalescing Link. Without a context deadline the whole retry sequence
+// is bounded by dialDeadline. id seeds the retry jitter.
+func DialLink(ctx context.Context, addr string, id int64, lo LinkOptions) (*Link, error) {
+	if _, ok := ctx.Deadline(); !ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, dialDeadline)
+		defer cancel()
+	}
+	conn, err := dialBackoff(ctx, addr, id)
+	if err != nil {
+		return nil, err
+	}
+	return NewLinkOpts(conn, lo), nil
+}
+
 // dialBackoff dials addr with capped exponential backoff until the context
 // expires. The jitter sequence is a pure function of (id, addr, attempt), so
 // a retrying fleet is reproducible and spread out at the same time. A context

@@ -63,9 +63,11 @@ type Config struct {
 	StreamAddr  string   `json:"stream_addr,omitempty"`
 	BackupAddrs []string `json:"backup_addrs,omitempty"`
 
-	// Transport selects the stream transport: TransportTCP (default when
-	// empty) or TransportUDP. Control links (cloud, coordinator TCP mode)
-	// stay reliable regardless.
+	// Transport selects the supernode→player video stream transport:
+	// TransportTCP (default when empty) or TransportUDP. A worker advertises
+	// it in its registration and a player streams over it; the coordinator
+	// ignores it. Every control link (cloud updates, player actions,
+	// coordinator control) is TCP regardless.
 	Transport string `json:"transport,omitempty"`
 
 	// Cloud fields. A zero World means world.DefaultConfig(). DirectFPS,
@@ -250,11 +252,8 @@ type Options struct {
 	Obs *obs.Registry
 	// DelayFor, when non-nil, returns the injected one-way delay toward the
 	// identified peer (the cloud keys it by supernode ID, a supernode by
-	// player ID, Dial by the dialing role's own ID).
+	// player ID, a coordinator control link by the dialing role's own ID).
 	DelayFor func(peerID int64) time.Duration
-	// Occupancy, when non-nil, overrides a worker's reported load (defaults
-	// to the supernode's live session count).
-	Occupancy func() int
 	// JoinGate, when non-nil, vets every player join at a supernode — the
 	// initial subscription and every datagram keepalive re-join — and
 	// returns an Ack code: proto.AckOK admits, anything else refuses the
@@ -282,9 +281,6 @@ func WithObs(r *obs.Registry) Option { return func(o *Options) { o.Obs = r } }
 func WithDelayFor(f func(peerID int64) time.Duration) Option {
 	return func(o *Options) { o.DelayFor = f }
 }
-
-// WithOccupancy overrides the load a worker reports to the coordinator.
-func WithOccupancy(f func() int) Option { return func(o *Options) { o.Occupancy = f } }
 
 // WithJoinGate installs a join admission hook at a supernode.
 func WithJoinGate(f func(join proto.JoinStream, known bool) uint32) Option {

@@ -104,8 +104,7 @@ func TestUnifiedConfigValidation(t *testing.T) {
 }
 
 // TestConfigConstructors drives a full cloud/supernode/player session through
-// the functional-option constructors, including the Dial factory for the
-// player's stream transport.
+// the functional-option constructors.
 func TestConfigConstructors(t *testing.T) {
 	cloud, err := NewCloud(Config{
 		Role: RoleCloud, Addr: "127.0.0.1:0",

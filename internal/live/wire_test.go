@@ -95,6 +95,9 @@ func TestLinkBatchesUnderSaturation(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	// The writer counts a batch after its writev returns, so the reader can
+	// finish first; Close waits the writer out before the counters are read.
+	link.Close()
 	if batched := stats.BatchedFrames.Load(); batched == 0 {
 		t.Fatal("no frames were coalesced under saturation")
 	}

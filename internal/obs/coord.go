@@ -1,19 +1,22 @@
 package obs
 
 // CoordStats instruments the coordinator control plane: worker registration
-// churn, placement outcomes, and churn-driven re-placements. The session
-// ledger identity the reconciliation checks is
+// churn, placement outcomes, and churn-driven re-placements. It mirrors the
+// coordinator's session ledger, whose identities (coord.Ledger.Balanced) are
 //
-//	Placements == ActiveOriginal + ActiveReplaced + Departed
+//	Placements    == ActiveOriginal + ActiveReplaced + Departed + Expired
+//	TicketsIssued == Placements + Replacements + Renewals
 //
-// where Placements counts first-time tickets only (re-placements increment
-// Replacements, not Placements), ActiveOriginal/ActiveReplaced split live
-// sessions by whether churn ever moved them, and Departed counts sessions
-// that ended — voluntarily or because no worker (and no cloud fallback)
-// could take them after a death.
+// where Placements counts first-time tickets only; Replacements counts
+// ticket re-issues that moved a session (worker death, drain, or reconnect
+// reconciliation); Renewals and Expired are mirrored here as LeaseRenewed
+// and LeaseExpired; and Departed counts sessions that ended, voluntarily or
+// because no worker (and no cloud fallback) could take them. TicketsIssued
+// and the live-session split ActiveOriginal/ActiveReplaced have no counter:
+// the ledger snapshot carries them.
 type CoordStats struct {
 	Placements   *Counter // first-time session placements ticketed
-	Replacements *Counter // sessions re-placed after a worker death
+	Replacements *Counter // ticket re-issues that moved a session
 	Rejected     *Counter // joins refused (no admitting worker, no fallback)
 	Departed     *Counter // sessions ended and retired from the ledger
 
@@ -69,7 +72,7 @@ func NewCoordStats() *CoordStats {
 func CoordStatsIn(r *Registry) *CoordStats {
 	return &CoordStats{
 		Placements:        r.Counter("cloudfog_coord_placements_total", "first-time session placements ticketed"),
-		Replacements:      r.Counter("cloudfog_coord_replacements_total", "sessions re-placed after worker death"),
+		Replacements:      r.Counter("cloudfog_coord_replacements_total", "ticket re-issues that moved a session"),
 		Rejected:          r.Counter("cloudfog_coord_rejected_joins_total", "joins refused by admission control"),
 		Departed:          r.Counter("cloudfog_coord_departed_total", "sessions retired from the ledger"),
 		WorkersRegistered: r.Counter("cloudfog_coord_workers_registered_total", "workers registered (first contact)"),
