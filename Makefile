@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race loc perfbench bench bench-json bench-all chaos wire coord coord-drain replay record-corpus verify
+.PHONY: build test vet race loc perfbench bench bench-smoke chaos wire coord coord-drain replay record-corpus verify
 
 build:
 	$(GO) build ./...
@@ -28,21 +28,16 @@ loc:
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# bench runs the headline benchmarks (engine, QoE node with and without
-# observability, Fig 9-11 sweeps) and writes them machine-readably so perf
-# PRs commit their before/after numbers.
+# bench runs every Go micro-benchmark in the module. These are diagnostics
+# for one host; the benchmark of record, with host block, repeats and a
+# failing compare, is the perfbench module.
 bench:
-	$(GO) run ./cmd/cloudfog-bench
+	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# bench-json records this PR's numbers as BENCH_PR9.json (same schema as
-# BENCH_PR8.json, plus the flight-recorder benches) and prints the
-# recorded-vs-live comparison against the previous PR's file.
-bench-json:
-	$(GO) run ./cmd/cloudfog-bench -out BENCH_PR9.json -baseline BENCH_PR8.json
-
-# bench-all runs the full per-figure benchmark suite.
-bench-all:
-	$(GO) test -run XXX -bench . -benchmem .
+# bench-smoke compiles and runs every Go benchmark exactly once, so none of
+# them can rot unseen.
+bench-smoke:
+	$(GO) test -count=1 -run '^$$' -bench . -benchtime 1x ./...
 
 # chaos is the resilience smoke: the fault and health suites under the
 # race detector, a seeded chaos sim whose -report reconciles both the
@@ -63,13 +58,12 @@ chaos:
 		-horizon 30s -epoch 10s -detector phi -overload
 
 # wire is the zero-copy wire-path smoke: the live and proto suites under
-# the race detector, a saturation run that fails unless the coalescing
-# counters prove frames were actually batched, and a UDP-transport chaos
-# demo that fails unless every player completes, the session ledger
-# reconciles and every scheduled kill was applied.
+# the race detector (TestLinkBatchesUnderSaturation fails unless the
+# coalescing counters prove frames were batched over loopback TCP), and a
+# UDP-transport chaos demo that fails unless every player completes, the
+# session ledger reconciles and every scheduled kill was applied.
 wire:
 	$(GO) test -race -count=1 ./internal/live/ ./internal/proto/
-	$(GO) run ./cmd/cloudfog-bench -wire-smoke
 	$(GO) run ./cmd/cloudfog-live demo -workers 3 -players 4 -duration 5s \
 		-chaos default -transport udp
 
@@ -123,7 +117,7 @@ coord-drain:
 	$(GO) run ./cmd/cloudfog-live demo -drain -lease 1s \
 		-workers 3 -players 6 -duration 4s -report coord_drain_report.json
 
-# verify is the CI gate: static checks, the race-enabled suite, the
-# perfbench module's vet and tests, the chaos smoke, the wire smoke, the
+# verify is the CI gate: static checks, the race-enabled suite, one run of
+# every Go benchmark, the perfbench module's vet and tests, the chaos smoke, the wire smoke, the
 # coordinator smokes (kill and drain), and the flight-recorder replay gate.
-verify: vet race perfbench chaos wire coord coord-drain replay
+verify: vet race bench-smoke perfbench chaos wire coord coord-drain replay

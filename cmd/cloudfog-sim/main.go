@@ -60,7 +60,6 @@ import (
 
 var (
 	figuresFlag    = flag.String("figures", "", "comma-separated figures to regenerate (fig5a..fig11a, bare \"9a\" accepted, \"all\" or empty = every figure)")
-	figFlag        = flag.String("fig", "", "deprecated alias for -figures")
 	seedFlag       = flag.Int64("seed", 2026, "experiment seed")
 	playersFlag    = flag.Int("players", 10000, "population size")
 	supernodesFlag = flag.Int("supernodes", 600, "supernodes selected from capable players")
@@ -126,14 +125,6 @@ func withProfiles(fn func() error) error {
 	return nil
 }
 
-// selection resolves -figures (with -fig as a deprecated fallback).
-func selection() string {
-	if *figuresFlag != "" {
-		return *figuresFlag
-	}
-	return *figFlag
-}
-
 func run() error {
 	if *replayFlag != "" {
 		return runReplay()
@@ -141,7 +132,7 @@ func run() error {
 	if *recordFlag != "" {
 		return runRecord()
 	}
-	figs, err := experiment.SelectFigures(selection())
+	figs, err := experiment.SelectFigures(*figuresFlag)
 	if err != nil {
 		return err
 	}
@@ -257,7 +248,7 @@ func specFromFlags() (flight.RunSpec, error) {
 		Overload:     *overloadFlag,
 		Breaker:      *breakerFlag,
 	}
-	if sel := strings.TrimSpace(selection()); sel != "" && !strings.EqualFold(sel, "all") {
+	if sel := strings.TrimSpace(*figuresFlag); sel != "" && !strings.EqualFold(sel, "all") {
 		spec.Figures = strings.Split(sel, ",")
 	}
 	if *faultsFlag != "" {

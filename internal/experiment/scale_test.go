@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -198,5 +199,39 @@ func TestCrossShardBackupRingFailover(t *testing.T) {
 	if inv(oneShard) != inv(twoShard) {
 		t.Fatalf("invariant outputs diverge across shard counts:\n 1: %s\n 2: %s",
 			inv(oneShard), inv(twoShard))
+	}
+}
+
+// benchScaleWorld is the 100k-player world BenchmarkShardedRun runs:
+// generated once, reused across shard counts (runs join and leave cleanly).
+var benchScaleWorld = sync.OnceValues(func() (*World, error) {
+	cfg := Default(2026)
+	cfg.Players = 100_000
+	cfg.Supernodes = 6250
+	cfg.EdgeServers = 45
+	return NewWorld(cfg)
+})
+
+// BenchmarkShardedRun is the sharded single-run scaling curve: one full
+// scaling run (100k players, two epochs of the scale chaos profile under
+// the phi detector with the overload ladder) at each shard count. On k
+// cores the data-plane phase shrinks toward 1/k; on one core the curve is
+// flat and shows the parallel path costs no more than the serial one.
+func BenchmarkShardedRun(b *testing.B) {
+	w, err := benchScaleWorld()
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := RunOptions{Horizon: 20 * time.Second, ScaleEpoch: 10 * time.Second, Detector: "phi", Overload: true}
+	for _, shards := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			w.Cfg.Shards = shards
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ScaleRun(w, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -17,7 +17,7 @@ func TestLinkImpairLoss(t *testing.T) {
 	r := obs.NewRegistry()
 	stats := obs.LinkStatsIn(r, "lossy")
 	a, b := net.Pipe()
-	link := NewLinkObs(a, 0, stats)
+	link := NewLinkOpts(a, LinkOptions{Stats: stats})
 	defer link.Close()
 	defer b.Close()
 

@@ -183,7 +183,7 @@ func (c *Cloud) serveSupernode(conn net.Conn, snID int64) {
 	if c.opts.Obs != nil {
 		stats = obs.LinkStatsIn(c.opts.Obs, fmt.Sprintf("cloud_to_sn%d", snID))
 	}
-	link := NewLinkObs(conn, delay, stats)
+	link := NewLinkOpts(conn, LinkOptions{Delay: delay, Stats: stats})
 
 	c.mu.Lock()
 	if c.closed {
@@ -231,7 +231,7 @@ func (c *Cloud) serveDirectStream(conn net.Conn, payload []byte) {
 		conn.Close()
 		return
 	}
-	link := NewLinkObs(conn, 0, nil)
+	link := NewLink(conn, 0)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

@@ -21,8 +21,7 @@ import (
 )
 
 // Transport is the sender/receiver contract shared by the TCP stream Link
-// and the UDP DatagramLink, and by the in-process pipe pair used for
-// recorded/sim-style runs. All implementations inject the configured
+// and the UDP DatagramLink. Both implementations inject the configured
 // one-way delay at the sender, apply the deterministic loss accumulator,
 // and coalesce release-ready frames into batched writes.
 type Transport interface {
@@ -77,7 +76,7 @@ const (
 )
 
 // LinkOptions configures a link beyond the connection itself. The zero
-// value is a healthy uninstrumented link with default coalescing.
+// value is a healthy uninstrumented link.
 type LinkOptions struct {
 	// Delay is the injected one-way propagation delay.
 	Delay time.Duration
@@ -85,12 +84,6 @@ type LinkOptions struct {
 	// and the sender-side holding delay (nil disables instrumentation with
 	// no per-frame cost beyond one nil-check).
 	Stats *obs.LinkStats
-	// FlushDeadline is the coalescing window: 0 means DefaultFlushDeadline,
-	// negative disables coalescing entirely (one write per frame — the
-	// benchmark baseline).
-	FlushDeadline time.Duration
-	// MaxBatch caps frames per coalesced write (0 means defaultMaxBatch).
-	MaxBatch int
 }
 
 // Link wraps a stream connection (TCP, net.Pipe) with sender-side one-way
@@ -113,12 +106,10 @@ type DatagramLink struct {
 
 // linkCore is the shared machinery behind Link and DatagramLink.
 type linkCore struct {
-	conn          net.Conn
-	delay         time.Duration
-	flushDeadline time.Duration // <0: per-frame writes (no coalescing)
-	maxBatch      int
-	dgram         bool
-	stats         *obs.LinkStats
+	conn  net.Conn
+	delay time.Duration
+	dgram bool
+	stats *obs.LinkStats
 
 	// The send queue is a mu-guarded slice consumed from qhead, not a
 	// channel: under saturation the sender's cost is one brief lock and an
@@ -167,11 +158,6 @@ func NewLink(conn net.Conn, delay time.Duration) *Link {
 	return NewLinkOpts(conn, LinkOptions{Delay: delay})
 }
 
-// NewLinkObs is NewLink with an optional stats bundle.
-func NewLinkObs(conn net.Conn, delay time.Duration, stats *obs.LinkStats) *Link {
-	return NewLinkOpts(conn, LinkOptions{Delay: delay, Stats: stats})
-}
-
 // NewLinkOpts wraps a stream conn with full options.
 func NewLinkOpts(conn net.Conn, opts LinkOptions) *Link {
 	l := &Link{}
@@ -186,32 +172,14 @@ func NewDatagramLink(conn net.Conn, opts LinkOptions) *DatagramLink {
 	return l
 }
 
-// NewPipeTransport returns two connected in-process transports over a
-// net.Pipe, so sim-style and recorded runs exercise the identical wire
-// path (framing, coalescing, delay injection) as a live deployment.
-func NewPipeTransport(opts LinkOptions) (Transport, Transport) {
-	c1, c2 := net.Pipe()
-	return NewLinkOpts(c1, opts), NewLinkOpts(c2, opts)
-}
-
 var (
 	_ Transport = (*Link)(nil)
 	_ Transport = (*DatagramLink)(nil)
 )
 
 func (l *linkCore) init(conn net.Conn, opts LinkOptions, dgram bool) {
-	fd := opts.FlushDeadline
-	if fd == 0 {
-		fd = DefaultFlushDeadline
-	}
-	mb := opts.MaxBatch
-	if mb <= 0 {
-		mb = defaultMaxBatch
-	}
 	l.conn = conn
 	l.delay = opts.Delay
-	l.flushDeadline = fd
-	l.maxBatch = mb
 	l.dgram = dgram
 	l.stats = opts.Stats
 	l.cond = sync.NewCond(&l.mu)
@@ -239,10 +207,11 @@ func frameUrgent(frame []byte) bool {
 
 // writer drains the send queue: it sleeps (one reused timer, not one
 // time.Sleep per frame) until the head frame's release time, gathers every
-// further queued frame releasing within flushDeadline of it (stopping at
-// urgent frames, maxBatch, or an empty queue — an empty queue flushes
-// immediately, so an idle link adds zero latency), and issues one batched
-// write. Close lets it flush everything already queued before it exits.
+// further queued frame releasing within DefaultFlushDeadline of it
+// (stopping at urgent frames, defaultMaxBatch, or an empty queue — an empty
+// queue flushes immediately, so an idle link adds zero latency), and issues
+// one batched write. Close lets it flush everything already queued before
+// it exits.
 func (l *linkCore) writer() {
 	defer l.wg.Done()
 	defer close(l.done)
@@ -267,14 +236,23 @@ func (l *linkCore) writer() {
 		}
 		first := l.q[l.qhead]
 		l.qhead++
+		if l.qhead >= sendQueueCap {
+			// Slide the surviving tail to the front so the queue's
+			// storage stays bounded across a long backlog. This runs
+			// every iteration, not only when coalescing, or a backlog of
+			// urgent frames would grow the slice without bound.
+			n := copy(l.q, l.q[l.qhead:])
+			l.q = l.q[:n]
+			l.qhead = 0
+		}
 		l.mu.Unlock()
 
 		l.sleepUntil(timer, first.release)
 		l.batch = append(l.batch[:0], first)
-		if l.flushDeadline >= 0 && !first.urgent {
-			deadline := first.release.Add(l.flushDeadline)
+		if !first.urgent {
+			deadline := first.release.Add(DefaultFlushDeadline)
 			l.mu.Lock()
-			for len(l.batch) < l.maxBatch && l.qhead < len(l.q) {
+			for len(l.batch) < defaultMaxBatch && l.qhead < len(l.q) {
 				q := l.q[l.qhead]
 				if q.release.After(deadline) {
 					// Holding the batch open for it would blow the
@@ -286,13 +264,6 @@ func (l *linkCore) writer() {
 				if q.urgent {
 					break
 				}
-			}
-			if l.qhead >= sendQueueCap {
-				// Slide the surviving tail to the front so the queue's
-				// storage stays bounded across a long saturated run.
-				n := copy(l.q, l.q[l.qhead:])
-				l.q = l.q[:n]
-				l.qhead = 0
 			}
 			l.mu.Unlock()
 			// Frames gathered inside the deadline may release slightly in

@@ -324,7 +324,7 @@ func TestLinkMidStreamDisconnect(t *testing.T) {
 	r := obs.NewRegistry()
 	stats := obs.LinkStatsIn(r, "test")
 	a, b := net.Pipe()
-	link := NewLinkObs(a, 0, stats)
+	link := NewLinkOpts(a, LinkOptions{Stats: stats})
 	defer link.Close()
 
 	// Receive a few frames, then vanish mid-stream.
@@ -373,7 +373,7 @@ func TestLinkRecvAfterPeerClose(t *testing.T) {
 	r := obs.NewRegistry()
 	stats := obs.LinkStatsIn(r, "recv")
 	a, b := net.Pipe()
-	link := NewLinkObs(b, 0, stats)
+	link := NewLinkOpts(b, LinkOptions{Stats: stats})
 	defer link.Close()
 
 	go func() {
@@ -398,8 +398,8 @@ func TestLinkStatsCountTraffic(t *testing.T) {
 	sendStats := obs.LinkStatsIn(r, "s")
 	recvStats := obs.LinkStatsIn(r, "r")
 	a, b := net.Pipe()
-	sender := NewLinkObs(a, 3*time.Millisecond, sendStats)
-	receiver := NewLinkObs(b, 0, recvStats)
+	sender := NewLinkOpts(a, LinkOptions{Delay: 3 * time.Millisecond, Stats: sendStats})
+	receiver := NewLinkOpts(b, LinkOptions{Stats: recvStats})
 	defer sender.Close()
 	defer receiver.Close()
 

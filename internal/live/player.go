@@ -113,7 +113,7 @@ func (p *Player) Run(duration time.Duration) (PlayerReport, error) {
 	if p.opts.Obs != nil {
 		actStats = obs.LinkStatsIn(p.opts.Obs, fmt.Sprintf("p%d_to_cloud", cfg.ID))
 	}
-	actLink := NewLinkObs(actConn, cfg.ActionDelay, actStats)
+	actLink := NewLinkOpts(actConn, LinkOptions{Delay: cfg.ActionDelay, Stats: actStats})
 	defer actLink.Close()
 	if !actLink.Send(proto.THello, proto.MarshalHello(proto.Hello{Role: proto.RolePlayerActions, ID: cfg.ID})) {
 		return PlayerReport{}, fmt.Errorf("live: hello to cloud failed")

@@ -127,7 +127,7 @@ func NewSupernode(cfg Config, opts ...Option) (*Supernode, error) {
 	if o.Obs != nil {
 		cloudStats = obs.LinkStatsIn(o.Obs, fmt.Sprintf("sn%d_to_cloud", cfg.ID))
 	}
-	cloudLink := NewLinkObs(conn, cfg.DelayToCloud, cloudStats)
+	cloudLink := NewLinkOpts(conn, LinkOptions{Delay: cfg.DelayToCloud, Stats: cloudStats})
 	if !cloudLink.Send(proto.THello, proto.MarshalHello(proto.Hello{Role: proto.RoleSupernode, ID: cfg.ID})) {
 		cloudLink.Close()
 		return nil, fmt.Errorf("live: hello to cloud failed")
@@ -361,7 +361,7 @@ func (sn *Supernode) servePlayer(conn net.Conn) {
 	if sn.opts.Obs != nil {
 		stats = obs.LinkStatsIn(sn.opts.Obs, fmt.Sprintf("sn%d_to_p%d", sn.cfg.ID, join.Player))
 	}
-	link := NewLinkObs(conn, delay, stats)
+	link := NewLinkOpts(conn, LinkOptions{Delay: delay, Stats: stats})
 
 	sn.mu.Lock()
 	if sn.closed {

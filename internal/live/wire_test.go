@@ -109,39 +109,45 @@ func TestLinkBatchesUnderSaturation(t *testing.T) {
 	}
 }
 
-// TestLinkPerFrameModeDisablesBatching pins the baseline mode: a negative
-// FlushDeadline must write one frame per syscall and never batch.
-func TestLinkPerFrameModeDisablesBatching(t *testing.T) {
+// TestLinkQueueBoundedUnderUrgentBacklog holds a link's reader back while
+// the sender pushes a long run of urgent frames (acks never coalesce) with
+// backpressure: the writer must still slide consumed queue entries away, so
+// the send queue's storage stays bounded instead of growing with the
+// backlog.
+func TestLinkQueueBoundedUnderUrgentBacklog(t *testing.T) {
 	c1, c2 := tcpTestPair(t)
 	defer c2.Close()
-	reg := obs.NewRegistry()
-	stats := obs.LinkStatsIn(reg, "test")
-	link := NewLinkOpts(c1, LinkOptions{Stats: stats, FlushDeadline: -1})
+	link := NewLink(c1, 0)
 	defer link.Close()
 
-	const n = 200
+	const n = 50_000
 	done := make(chan error, 1)
 	go func() {
+		time.Sleep(200 * time.Millisecond)
+		br := bufio.NewReaderSize(c2, 1<<16)
 		var buf []byte
-		br := bufio.NewReader(c2)
 		for i := 0; i < n; i++ {
 			if _, _, err := proto.ReadFrameReuse(br, &buf); err != nil {
-				done <- err
+				done <- fmt.Errorf("frame %d: %w", i, err)
 				return
 			}
 		}
 		done <- nil
 	}()
 	for i := 0; i < n; i++ {
-		if !link.Send(proto.TAck, proto.MarshalAck(proto.Ack{Code: uint32(i)})) {
-			t.Fatalf("send %d failed: %v", i, link.Err())
+		frame := proto.AppendAck(link.AcquireFrame(proto.TAck), proto.Ack{Code: uint32(i)})
+		if !link.SendFrameWait(frame) {
+			t.Fatalf("link died at frame %d: %v", i, link.Err())
 		}
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if b := stats.BatchedFrames.Load(); b != 0 {
-		t.Fatalf("per-frame mode batched %d frames", b)
+	link.mu.Lock()
+	got := cap(link.q)
+	link.mu.Unlock()
+	if got > 4*sendQueueCap {
+		t.Fatalf("send queue grew to cap %d under an urgent backlog, want <= %d", got, 4*sendQueueCap)
 	}
 }
 
@@ -308,10 +314,11 @@ func TestDatagramLinkImpairLossDeterministic(t *testing.T) {
 	}
 }
 
-// TestPipeTransport checks the in-process transport speaks the identical
-// wire path in both directions.
+// TestPipeTransport checks two Links over an in-process net.Pipe speak the
+// identical wire path in both directions.
 func TestPipeTransport(t *testing.T) {
-	a, b := NewPipeTransport(LinkOptions{})
+	c1, c2 := net.Pipe()
+	var a, b Transport = NewLink(c1, 0), NewLink(c2, 0)
 	defer a.Close()
 	defer b.Close()
 

@@ -171,6 +171,28 @@ func TestBeginFinishFrameMatchesAppendFrame(t *testing.T) {
 	}
 }
 
+// TestSegmentEncodeInPlaceNoAllocs pins the zero-copy encode: into a reused
+// buffer that already holds one frame, BeginFrame + AppendSegmentHeader +
+// payload + FinishFrame allocates nothing, at any GOMAXPROCS.
+func TestSegmentEncodeInPlaceNoAllocs(t *testing.T) {
+	payload := make([]byte, 4096)
+	seg := Segment{Player: 42, Level: 3, ActionIssued: 123456}
+	var buf []byte
+	encode := func() {
+		seg.Seq++
+		buf = BeginFrame(buf[:0], TSegment)
+		buf = AppendSegmentHeader(buf, seg, len(payload))
+		buf = append(buf, payload...)
+		if err := FinishFrame(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// AllocsPerRun's warm-up call grows buf; every measured run reuses it.
+	if allocs := testing.AllocsPerRun(100, encode); allocs != 0 {
+		t.Fatalf("segment encode allocates %.1f times per frame, want 0", allocs)
+	}
+}
+
 func TestFinishFrameRejectsBadOffset(t *testing.T) {
 	b := BeginFrame(nil, TSegment)
 	if err := FinishFrame(b, -1); err == nil {
